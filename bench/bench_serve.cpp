@@ -399,9 +399,6 @@ int main(int argc, char** argv) {
           r.replicas_max = m.replicas_peak;
           r.scale_ups = m.scale_ups;
           r.scale_downs = m.scale_downs;
-          r.replica_arena_bytes =
-              m.replicas > 0 ? m.plan_arena_bytes / m.replicas
-                             : m.plan_arena_bytes;
         }
       session.add(r);
     }

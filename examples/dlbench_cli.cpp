@@ -62,14 +62,15 @@ int main(int argc, char** argv) {
   if (argc > 3 && !parse_dataset(argv[3], setting_ds)) return usage();
   DatasetId ds = setting_ds;
   if (argc > 4 && !parse_dataset(argv[4], ds)) return usage();
-  auto device = runtime::Device::gpu();
-  if (argc > 5) {
-    const std::string v = util::to_lower(argv[5]);
-    if (v == "cpu") device = runtime::Device::cpu();
-    else if (v != "gpu") return usage();
-  }
-
   try {
+    // Inside the try: the GPU device sizes its pool from DLB_THREADS,
+    // which throws on a malformed value.
+    auto device = runtime::Device::gpu();
+    if (argc > 5) {
+      const std::string v = util::to_lower(argv[5]);
+      if (v == "cpu") device = runtime::Device::cpu();
+      else if (v != "gpu") return usage();
+    }
     core::HarnessOptions options = core::HarnessOptions::from_env();
     core::Harness harness(options);
     core::RunRecord record = harness.run(fw, setting_fw, setting_ds, ds,

@@ -15,10 +15,6 @@
 #   fleet            weighted-fair + SLO overload cell (drr_slo):
 #                    worst-tenant p99, gold p99, aggregate goodput,
 #                    bronze sheds (bench_serve "tenants" records)
-#   arena            execution-plan arena vs heap: the same training
-#                    cell re-run with DLB_PLAN=0, per-step time for
-#                    both, packed arena footprint and replayed steps
-#                    (DESIGN.md §15, KNOBS.md)
 #   ddp              deterministic data-parallel training scaling
 #                    (bench_fig5 --train-workers): per-step time at
 #                    K = 1/2/4 workers, speedup, scaling efficiency,
@@ -61,10 +57,6 @@ echo "=== bench_all: GEMM micro ==="
 echo "=== bench_all: training baseline (step cap $DLB_STEP_CAP) ==="
 "$BUILD_DIR/bench/bench_fig1_mnist_baseline" --json-out="$TMP/train.json"
 
-echo "=== bench_all: training baseline, arena disabled (DLB_PLAN=0) ==="
-DLB_PLAN=0 "$BUILD_DIR/bench/bench_fig1_mnist_baseline" \
-  --json-out="$TMP/train_heap.json"
-
 echo "=== bench_all: serving ==="
 "$BUILD_DIR/bench/bench_serve" --quick --json-out="$TMP/serve.json"
 
@@ -106,14 +98,6 @@ gemm = next(b for b in load("gemm.json")["benchmarks"]
 train = next(r for r in load("train.json", "runs")
              if r["device"] == "CPU" and not r["error"])
 step_ms = 1e3 * train["train"]["train_time_s"] / train["train"]["steps"]
-
-# The same cell with the execution-plan arena disabled (DLB_PLAN=0):
-# plan-vs-heap per-step time, plus the packed arena footprint the
-# plan cell ran in (DESIGN.md §15).
-heap = next(r for r in load("train_heap.json", "runs")
-            if r["device"] == "CPU" and not r["error"])
-heap_step_ms = (1e3 * heap["train"]["train_time_s"]
-                / heap["train"]["steps"])
 
 serve = load("serve.json", "serve")
 serve_p99_ms = 1e3 * min(r["latency"]["p99_s"] for r in serve)
@@ -169,15 +153,6 @@ snapshot = {
         "gold_p99_ms": round(1e3 * fleet_gold_p99, 3),
         "goodput_rps": round(fleet_goodput, 1),
         "bronze_shed": sum(t["shed"] for t in tenants),
-    },
-    "arena": {
-        "step_ms_plan": round(step_ms, 3),
-        "step_ms_heap": round(heap_step_ms, 3),
-        "speedup_pct": round(100.0 * (heap_step_ms - step_ms)
-                             / heap_step_ms, 1),
-        "arena_mib": round(train["train"]["plan"]["arena_bytes"]
-                           / (1 << 20), 2),
-        "replayed_steps": train["train"]["plan"]["replayed_steps"],
     },
     "ddp": {
         "shards": ddp_clean[0]["shards"],

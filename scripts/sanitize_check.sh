@@ -10,12 +10,9 @@
 # replica crashes, stalls and retries exercise the supervisor's
 # requeue/restart lifetimes), and the multi-tenant fleet suite (label
 # `fleet` — replica retirement and cross-thread promise hand-offs), and
-# the execution-plan suite (label `plan` — arena measure/replay scopes,
-# aliasing shared_ptr deleters and spill-to-heap fallbacks are exactly
-# the lifetime machinery ASan exists for), and the data-parallel
-# training suite (label `ddp` — per-replica planners, shard gradient
-# slots and the shard-ordered reduce move tensors across a worker
-# pool every step).
+# the data-parallel training suite (label `ddp` — shard gradient slots
+# and the shard-ordered reduce move tensors across a worker pool every
+# step).
 # For data races specifically, see tsan_check.sh.
 #
 # Usage: scripts/sanitize_check.sh [build-dir]   (default: build-asan)
@@ -31,4 +28,4 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDLBENCH_SANITIZE="$SANITIZERS"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L 'fault|gradcheck|serve|kernels|attack|chaos|fleet|plan|ddp' --output-on-failure -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" -L 'fault|gradcheck|serve|kernels|attack|chaos|fleet|ddp' --output-on-failure -j "$(nproc)"

@@ -11,12 +11,10 @@
 # abandonment, hedged first-wins claims and retry heaps are exactly the
 # cross-thread hand-offs TSan exists for), and the multi-tenant fleet
 # suite (label `fleet` — dispatcher/watcher/autoscaler interplay over
-# live replica pools), and the execution-plan suite (label `plan` —
-# arena buffers freed on whichever thread drops the last aliasing
-# handle while the owner thread replays new allocations), and the
-# data-parallel training suite (label `ddp` — K replicas race a shard
-# queue and fill per-shard gradient slots; its bitwise-identity tests
-# are exactly the claims a data race would silently falsify). ASan/UBSan
+# live replica pools), and the data-parallel training suite (label
+# `ddp` — K replicas race a shard queue and fill per-shard gradient
+# slots; its bitwise-identity tests are exactly the claims a data race
+# would silently falsify). ASan/UBSan
 # (sanitize_check.sh) cannot see data races; this is the suite that
 # would have caught a misordered stats commit or an unlocked histogram.
 #
@@ -33,5 +31,5 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDLBENCH_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L 'serve|trace|fault|kernels|attack|chaos|fleet|plan|ddp' --output-on-failure \
+ctest --test-dir "$BUILD_DIR" -L 'serve|trace|fault|kernels|attack|chaos|fleet|ddp' --output-on-failure \
   -j "$(nproc)"

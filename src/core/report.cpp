@@ -171,8 +171,6 @@ std::string record_json(const RunRecord& r) {
      << ",\"optimizer_s\":" << num(t.phases.optimizer_s)
      << ",\"guard_s\":" << num(t.phases.guard_s)
      << ",\"comm_s\":" << num(t.phases.comm_s) << "}"
-     << ",\"plan\":{\"arena_bytes\":" << t.plan_arena_bytes
-     << ",\"replayed_steps\":" << t.plan_replayed_steps << "}"
      << ",\"loss_curve\":[";
   for (std::size_t i = 0; i < t.loss_curve.size(); ++i)
     os << (i ? "," : "") << "[" << t.loss_curve[i].first << ","
@@ -409,7 +407,7 @@ util::Table tenant_table(const std::string& title,
                          const std::vector<TenantRecord>& records) {
   util::Table table({"Scenario", "Tenant", "SLO", "W", "Offered (r/s)",
                      "Goodput (r/s)", "Shed", "Rej", "p50 (ms)", "p99 (ms)",
-                     "Replicas", "Mem/rep (MiB)"});
+                     "Replicas"});
   table.set_title(title);
   for (const auto& r : records) {
     table.add_row({r.scenario, r.tenant, r.slo, std::to_string(r.weight),
@@ -418,11 +416,7 @@ util::Table tenant_table(const std::string& title,
                    std::to_string(r.shed), std::to_string(r.rejected),
                    ms_cell(r.latency_p50_s), ms_cell(r.latency_p99_s),
                    std::to_string(r.replicas_min) + "-" +
-                       std::to_string(r.replicas_max),
-                   util::format_fixed(
-                       static_cast<double>(r.replica_arena_bytes) /
-                           (1024.0 * 1024.0),
-                       2)});
+                       std::to_string(r.replicas_max)});
   }
   return table;
 }
@@ -457,8 +451,7 @@ std::string tenant_record_json(const TenantRecord& r) {
      << ",\"queue_wait_p99_s\":" << num(r.queue_wait_p99_s) << "}"
      << ",\"replicas\":{\"min\":" << r.replicas_min
      << ",\"max\":" << r.replicas_max << ",\"scale_ups\":" << r.scale_ups
-     << ",\"scale_downs\":" << r.scale_downs
-     << ",\"arena_bytes_each\":" << r.replica_arena_bytes << "}}";
+     << ",\"scale_downs\":" << r.scale_downs << "}}";
   return os.str();
 }
 

@@ -228,10 +228,6 @@ struct TenantRecord {
   int replicas_max = 0;
   std::int64_t scale_ups = 0;
   std::int64_t scale_downs = 0;
-  /// Steady-state execution-plan arena bytes one replica of the
-  /// tenant's model holds (DESIGN.md §15) — the tensor-memory price of
-  /// each autoscaler scale-up.
-  std::int64_t replica_arena_bytes = 0;
 };
 
 /// Fleet analogue of serve_table: Scenario / Tenant / SLO / Weight /

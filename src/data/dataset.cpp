@@ -98,8 +98,7 @@ bool DataLoader::next(Batch& out) {
     // steady-state case): its contents are dead by the time the trainer
     // asks for the next batch, and the memcpy below writes every
     // element, so a fresh uninit buffer is only needed on a shape
-    // change (first batch, tail batch, fault-dropped samples). This
-    // keeps steady-state steps allocation-free (DESIGN.md §15).
+    // change (first batch, tail batch, fault-dropped samples).
     const tensor::Shape shape({b, c, h, w});
     if (!(out.images.shape() == shape)) out.images = Tensor::uninit(shape);
     out.labels.resize(static_cast<std::size_t>(b));

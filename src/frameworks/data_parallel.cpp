@@ -12,12 +12,12 @@
 #include <vector>
 
 #include "frameworks/train_util.hpp"
-#include "nn/plan.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/stopwatch.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::frameworks {
@@ -25,7 +25,7 @@ namespace dlbench::frameworks {
 namespace comm = runtime::comm;
 
 using detail::clone_params;
-using detail::env_i64;
+using util::env_i64;
 using detail::gradients_divergent;
 using detail::restore_params;
 using detail::scale_learning_rate;
@@ -165,19 +165,12 @@ TrainResult DataParallelTrainer::train(nn::Sequential& model,
                       device);
   };
 
-  // Persistent per-shard gradient slots, allocated once on the master
-  // thread (they live across steps, so they must never come from a
-  // worker's step arena).
+  // Persistent per-shard gradient slots, allocated once and reused
+  // every step.
   std::vector<Shard> shard_state(static_cast<std::size_t>(S));
   for (Shard& sh : shard_state)
     for (std::size_t p = 0; p < P; ++p)
       sh.grads.emplace_back(master_grads[p]->shape());
-
-  // One planner per worker (single-owner: only worker w's task touches
-  // planners[w], and the pool queue orders successive tasks).
-  std::vector<std::unique_ptr<nn::StepPlanner>> planners;
-  for (int w = 0; w < K; ++w)
-    planners.push_back(std::make_unique<nn::StepPlanner>());
 
   runtime::ThreadPool pool(static_cast<std::size_t>(K));
 
@@ -263,7 +256,6 @@ TrainResult DataParallelTrainer::train(nn::Sequential& model,
           try {
             runtime::fault::maybe_stall_dp_worker(step, w);
             nn::Sequential& replica = replicas[static_cast<std::size_t>(w)];
-            nn::StepPlanner& planner = *planners[static_cast<std::size_t>(w)];
             for (;;) {
               const int s = next_shard.fetch_add(1);
               if (s >= S) break;
@@ -274,10 +266,6 @@ TrainResult DataParallelTrainer::train(nn::Sequential& model,
               ctx.device = Device::cpu();
               ctx.training = true;
               ctx.rng = &shard_rng;
-              // Plan extent: one shard's forward/backward, keyed by its
-              // row count. The grad copy-out stays inside (it allocates
-              // nothing; the slots are persistent).
-              auto plan_guard = planner.step(sh.rows);
               replica.zero_grads();
               const auto t_fwd = SteadyClock::now();
               nn::LossResult loss =
@@ -426,10 +414,6 @@ TrainResult DataParallelTrainer::train(nn::Sequential& model,
   }
 
   result.train_time_s = clock.seconds();
-  for (const auto& planner : planners) {
-    result.plan_arena_bytes += planner->arena_bytes();
-    result.plan_replayed_steps += planner->replayed_steps();
-  }
   result.steps = step;
   result.epochs_run =
       static_cast<double>(step) / static_cast<double>(steps_per_epoch);

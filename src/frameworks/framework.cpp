@@ -6,17 +6,17 @@
 #include <span>
 
 #include "frameworks/train_util.hpp"
-#include "nn/plan.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/stopwatch.hpp"
 #include "runtime/trace.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::frameworks {
 
 using detail::clone_params;
-using detail::env_f64;
-using detail::env_i64;
+using util::env_f64;
+using util::env_i64;
 using detail::gradients_divergent;
 using detail::restore_params;
 using detail::scale_learning_rate;
@@ -81,13 +81,6 @@ TrainResult Framework::train(nn::Sequential& model,
   // Session setup (e.g. TF graph compile) counts toward training time.
   prepare(model, train_set.sample(0), ctx);
 
-  // Execution-plan compiler (DESIGN.md §15): per batch-shape signature,
-  // a few warmup steps on the heap, one measured step, then replay —
-  // every per-step tensor comes from one packed arena and the
-  // steady-state loop performs zero heap allocations. Single-owner:
-  // local to this training run.
-  nn::StepPlanner planner;
-
   // Guarded loop state: a periodic in-memory snapshot to roll back to,
   // and the cumulative learning-rate backoff across recoveries.
   const bool recovery_enabled = guard.max_recoveries > 0;
@@ -120,81 +113,71 @@ TrainResult Framework::train(nn::Sequential& model,
       }
       runtime::fault::maybe_stall_step(step);
       runtime::trace::Span step_span("train.step", "train");
-      {
-        // Plan extent: one optimizer step, keyed by batch rows (every
-        // allocation inside is a pure function of them). The periodic
-        // snapshot below stays OUTSIDE the extent — its clones must
-        // survive across steps, so they must never come from the step
-        // arena. A rollback inside a replayed extent spills (fresh
-        // optimizer state diverges from the measured trace), which
-        // invalidates the plan and re-measures — never corrupts.
-        auto plan_guard = planner.step(batch.size());
 
-        model.zero_grads();
-        const auto t_fwd = SteadyClock::now();
-        nn::LossResult loss =
-            model.forward_loss(batch.images, batch.labels, ctx);
-        const auto t_bwd = SteadyClock::now();
-        result.phases.forward_s += secs_between(t_fwd, t_bwd);
-        model.backward(loss, batch.labels, ctx);
-        const auto t_guard = SteadyClock::now();
-        result.phases.backward_s += secs_between(t_bwd, t_guard);
+      model.zero_grads();
+      const auto t_fwd = SteadyClock::now();
+      nn::LossResult loss =
+          model.forward_loss(batch.images, batch.labels, ctx);
+      const auto t_bwd = SteadyClock::now();
+      result.phases.forward_s += secs_between(t_fwd, t_bwd);
+      model.backward(loss, batch.labels, ctx);
+      const auto t_guard = SteadyClock::now();
+      result.phases.backward_s += secs_between(t_bwd, t_guard);
 
-        if (runtime::fault::enabled()) {
-          std::vector<std::span<float>> grad_spans;
-          for (tensor::Tensor* g : model.grads())
-            grad_spans.push_back(g->data());
-          runtime::fault::maybe_corrupt_gradients(step, grad_spans);
-        }
+      if (runtime::fault::enabled()) {
+        std::vector<std::span<float>> grad_spans;
+        for (tensor::Tensor* g : model.grads())
+          grad_spans.push_back(g->data());
+        runtime::fault::maybe_corrupt_gradients(step, grad_spans);
+      }
 
-        // Divergence is detected *before* the update is applied, so one
-        // bad step cannot poison the parameters it would write to.
-        const bool divergent =
-            !std::isfinite(loss.loss) ||
-            gradients_divergent(model.grads(), guard.grad_norm_limit);
-        if (divergent) {
-          if (result.divergence_step < 0) result.divergence_step = step;
-          if (!recovery_enabled ||
-              result.recovery_attempts >= guard.max_recoveries) {
-            result.diverged = true;
-            aborted = true;
-          } else {
-            // Bounded recovery: roll back to the snapshot, back off the
-            // learning rate, and retry from there with a fresh
-            // optimizer.
-            ++result.recovery_attempts;
-            runtime::trace::counter_add("train.rollbacks", 1);
-            restore_params(model, snapshot);
-            model.zero_grads();
-            lr_scale *= guard.lr_backoff;
-            optimizer = make_optimizer(scale_learning_rate(config, lr_scale),
-                                       steps_per_epoch, total_steps);
-            while (!result.loss_curve.empty() &&
-                   result.loss_curve.back().first >= snapshot_step)
-              result.loss_curve.pop_back();
-            step = snapshot_step;
-            rolled_back = true;  // restart from a fresh epoch at snapshot
-          }
-          result.phases.guard_s += secs_between(t_guard, SteadyClock::now());
-          break;
+      // Divergence is detected *before* the update is applied, so one
+      // bad step cannot poison the parameters it would write to.
+      const bool divergent =
+          !std::isfinite(loss.loss) ||
+          gradients_divergent(model.grads(), guard.grad_norm_limit);
+      if (divergent) {
+        if (result.divergence_step < 0) result.divergence_step = step;
+        if (!recovery_enabled ||
+            result.recovery_attempts >= guard.max_recoveries) {
+          result.diverged = true;
+          aborted = true;
+        } else {
+          // Bounded recovery: roll back to the snapshot, back off the
+          // learning rate, and retry from there with a fresh
+          // optimizer.
+          ++result.recovery_attempts;
+          runtime::trace::counter_add("train.rollbacks", 1);
+          restore_params(model, snapshot);
+          model.zero_grads();
+          lr_scale *= guard.lr_backoff;
+          optimizer = make_optimizer(scale_learning_rate(config, lr_scale),
+                                     steps_per_epoch, total_steps);
+          while (!result.loss_curve.empty() &&
+                 result.loss_curve.back().first >= snapshot_step)
+            result.loss_curve.pop_back();
+          step = snapshot_step;
+          rolled_back = true;  // restart from a fresh epoch at snapshot
         }
         result.phases.guard_s += secs_between(t_guard, SteadyClock::now());
-
-        const auto t_opt = SteadyClock::now();
-        {
-          runtime::trace::Span span("optim.step", "optim");
-          optimizer->step(model.params(), model.grads(), step, device);
-        }
-        result.phases.optimizer_s += secs_between(t_opt, SteadyClock::now());
-        runtime::trace::counter_add("optim.steps", 1);
-
-        if (step % options.loss_record_interval == 0 ||
-            step + 1 == total_steps) {
-          result.loss_curve.emplace_back(step, loss.loss);
-        }
-        result.final_loss = loss.loss;
-        ++step;
+        break;
       }
+      result.phases.guard_s += secs_between(t_guard, SteadyClock::now());
+
+      const auto t_opt = SteadyClock::now();
+      {
+        runtime::trace::Span span("optim.step", "optim");
+        optimizer->step(model.params(), model.grads(), step, device);
+      }
+      result.phases.optimizer_s += secs_between(t_opt, SteadyClock::now());
+      runtime::trace::counter_add("optim.steps", 1);
+
+      if (step % options.loss_record_interval == 0 ||
+          step + 1 == total_steps) {
+        result.loss_curve.emplace_back(step, loss.loss);
+      }
+      result.final_loss = loss.loss;
+      ++step;
 
       if (recovery_enabled && guard.snapshot_interval > 0 &&
           step % guard.snapshot_interval == 0) {
@@ -215,8 +198,6 @@ TrainResult Framework::train(nn::Sequential& model,
   }
 
   result.train_time_s = clock.seconds();
-  result.plan_arena_bytes = planner.arena_bytes();
-  result.plan_replayed_steps = planner.replayed_steps();
   result.steps = step;
   result.epochs_run = static_cast<double>(step) /
                       static_cast<double>(steps_per_epoch);
@@ -246,14 +227,9 @@ EvalResult Framework::evaluate(nn::Sequential& model,
 
   EvalResult result;
   runtime::Stopwatch clock;
-  // Plans the full-size eval batch and (separately) the tail batch;
-  // prediction outputs are plain vectors, so everything tensor-shaped
-  // inside a batch extent dies with it.
-  nn::StepPlanner planner;
   data::Batch batch;
   while (loader.next(batch)) {
     runtime::trace::Span span("eval.batch", "eval");
-    auto plan_guard = planner.step(batch.size());
     const auto predictions = model.predict(batch.images, ctx);
     for (std::size_t i = 0; i < predictions.size(); ++i)
       if (predictions[i] == batch.labels[i]) ++result.correct;

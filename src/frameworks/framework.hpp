@@ -115,11 +115,8 @@ struct TrainResult {
   bool timed_out = false;
   /// Where the wall clock went, by training phase.
   PhaseBreakdown phases;
-  /// Execution-plan compiler accounting (DESIGN.md §15): sealed arena
-  /// capacity across batch-shape signatures, and steps that replayed a
-  /// plan (i.e. ran with zero per-step heap allocations).
+  /// Always 0: kept only because perfbench/ still reads it.
   std::int64_t plan_arena_bytes = 0;
-  std::int64_t plan_replayed_steps = 0;
 };
 
 /// Outcome of an evaluation run (middle/right panels).

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "frameworks/config.hpp"
@@ -26,18 +25,6 @@ using SteadyClock = std::chrono::steady_clock;
 inline double secs_between(SteadyClock::time_point a,
                            SteadyClock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
-}
-
-inline std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtoll(raw, nullptr, 10);
-}
-
-inline double env_f64(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtod(raw, nullptr);
 }
 
 /// Deep copies of every parameter tensor (the rollback snapshot).

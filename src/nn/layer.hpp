@@ -7,25 +7,11 @@
 // an input gradient, which is what the adversarial module differentiates
 // through to build FGSM perturbations and JSMA saliency maps.
 //
-// Layer-author notes (the uninit/arena ownership rule, DESIGN.md §15):
-// layers run under the execution-plan arena, which replays each step's
-// allocations out of recycled memory. Two consequences for new layers:
-//
-//  - Tensor::uninit is only legal when every element is written before
-//    any read, and the call site must carry a comment saying so. Under
-//    arena replay an unwritten element is not merely uninitialized —
-//    it deterministically holds the PREVIOUS step's bytes, which reads
-//    as a silent cross-step data leak, not a crash. If a code path may
-//    leave holes (padding, tail remainders), use Tensor(Shape); zeroed
-//    slots are scrubbed on every replay.
-//
-//  - Allocation ORDER on the step thread must be deterministic: the
-//    plan matches allocations to arena slots by ordinal. Never allocate
-//    a Tensor from inside a pool worker (use thread_local scratch as
-//    conv.cpp does); data-dependent allocation (rare shapes, lazy init)
-//    is safe — it spills to the heap and triggers a re-measure — but
-//    belongs outside the steady state, e.g. in the constructor or the
-//    first (warmup) steps.
+// Layer-author note (the uninit ownership rule, DESIGN.md §15):
+// Tensor::uninit is only legal when every element is written before
+// any read, and the call site must carry a comment saying so. If a
+// code path may leave holes (padding, tail remainders), use
+// Tensor(Shape), which zero-fills.
 
 #include <memory>
 #include <string>

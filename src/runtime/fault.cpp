@@ -4,31 +4,18 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <thread>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dlbench::runtime::fault {
 
-namespace {
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtoll(raw, nullptr, 10);
-}
-
-double env_f64(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtod(raw, nullptr);
-}
-
-}  // namespace
+using util::env_f64;
+using util::env_i64;
 
 bool FaultPlan::active() const {
   return grad_fault != GradFault::kNone || ckpt_flip_bytes > 0 ||

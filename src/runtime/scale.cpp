@@ -1,9 +1,9 @@
 #include "runtime/scale.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::runtime {
@@ -27,27 +27,12 @@ std::int64_t ScaleConfig::cap_steps(std::int64_t steps) const {
   return std::min(steps, max_step_cap);
 }
 
-namespace {
-
-double env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtod(raw, nullptr);
-}
-
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtoll(raw, nullptr, 10);
-}
-
-}  // namespace
-
 ScaleConfig ScaleConfig::from_env(const ScaleConfig& fallback) {
   ScaleConfig cfg = fallback;
-  cfg.data_fraction = env_double("DLB_DATA_FRACTION", cfg.data_fraction);
-  cfg.epoch_fraction = env_double("DLB_EPOCH_FRACTION", cfg.epoch_fraction);
-  cfg.max_step_cap = env_int("DLB_STEP_CAP", cfg.max_step_cap);
+  cfg.data_fraction = util::env_f64("DLB_DATA_FRACTION", cfg.data_fraction);
+  cfg.epoch_fraction =
+      util::env_f64("DLB_EPOCH_FRACTION", cfg.epoch_fraction);
+  cfg.max_step_cap = util::env_i64("DLB_STEP_CAP", cfg.max_step_cap);
   return cfg;
 }
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 
 #include "runtime/fault.hpp"
 #include "runtime/trace.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::runtime {
@@ -137,10 +137,8 @@ void ThreadPool::parallel_for(std::size_t count,
 }
 
 std::size_t env_pool_threads() {
-  if (const char* env = std::getenv("DLB_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
+  const std::int64_t v = util::env_i64("DLB_THREADS", 0);
+  if (v >= 1) return static_cast<std::size_t>(v);
   return std::max(2u, std::thread::hardware_concurrency());
 }
 

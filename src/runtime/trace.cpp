@@ -5,20 +5,13 @@
 #include <map>
 #include <sstream>
 
+#include "util/env.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace dlbench::runtime::trace {
 
-namespace {
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  return std::strtoll(raw, nullptr, 10);
-}
-
-}  // namespace
+using util::env_i64;
 
 // Defined outside the DLB_TRACE_DISABLED guard: callers arm tracing
 // from the environment regardless of whether the build can honor it.

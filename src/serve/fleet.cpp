@@ -520,7 +520,6 @@ FleetStats FleetManager::stats() const {
     s.dispatched = m->dispatched;
     s.scale_ups = m->scale_ups;
     s.scale_downs = m->scale_downs;
-    if (m->server) s.plan_arena_bytes = m->server->stats().plan_arena_bytes;
     stats.models.push_back(std::move(s));
   }
   stats.timeline = timeline_;

@@ -208,10 +208,6 @@ struct FleetModelStats {
   std::int64_t dispatched = 0;
   std::int64_t scale_ups = 0;
   std::int64_t scale_downs = 0;
-  /// Sealed execution-plan arena bytes across the model's staffed
-  /// replicas (DESIGN.md §15) — what one more replica costs in
-  /// steady-state tensor memory is plan_arena_bytes / replicas.
-  std::int64_t plan_arena_bytes = 0;
 };
 
 /// One autoscaler action, for the replica timeline.

@@ -419,11 +419,6 @@ ServerStats ModelServer::stats() const {
       stats.latency.merge(replica->lat);
     }
   }
-  // Plan arenas are resident memory, not a lifetime counter: staffed
-  // slots only (a retired replica's arena is freed with its slot).
-  for (const auto& replica : replicas_)
-    stats.plan_arena_bytes +=
-        replica->arena_bytes.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -692,14 +687,6 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
                        dispatch.req->enqueue_ns, start_ns);
   }
 
-  // Plan extent: assemble + forward, keyed by batch rows. It closes
-  // after forward; the scatter below still reads logits/probs safely
-  // because the arena's next overwrite is this replica's *next* batch,
-  // and everything scatter keeps is copied into plain std::vectors —
-  // no tensor escapes the extent (DESIGN.md §15).
-  std::optional<nn::StepPlanner::StepGuard> plan_guard(
-      replica.planner.step(batch_size));
-
   // Assemble: gather request samples into one [B, ...sample] tensor.
   tensor::Tensor batched;
   {
@@ -742,11 +729,6 @@ void ModelServer::process_batch(Replica& replica, std::vector<Dispatch>& batch,
       probs = tensor::softmax_rows(logits, options_.device);
   }
   const std::int64_t forwarded_ns = now_ns();
-
-  // Close the plan extent and mirror the sealed footprint for stats().
-  plan_guard.reset();
-  replica.arena_bytes.store(replica.planner.arena_bytes(),
-                            std::memory_order_relaxed);
 
   // Scatter: per dispatch, route the result through the fault filters
   // (transient error → retry/fail, corruption) and the first-wins

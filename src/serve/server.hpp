@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "nn/frozen.hpp"
-#include "nn/plan.hpp"
 #include "runtime/device.hpp"
 #include "runtime/histogram.hpp"
 #include "tensor/tensor.hpp"
@@ -219,9 +218,7 @@ struct ServerStats {
   bool breaker_open = false;
   /// Replicas currently alive (not crashed, not abandoned).
   std::int64_t live_replicas = 0;
-  /// Sealed execution-plan arena capacity summed over staffed replicas
-  /// — each replica's steady-state resident tensor footprint
-  /// (DESIGN.md §15). 0 until plans seal (warmup) or with DLB_PLAN=0.
+  /// Always 0: kept only because perfbench/ still reads it.
   std::int64_t plan_arena_bytes = 0;
 
   /// Mean requests per dispatched batch.
@@ -340,13 +337,6 @@ class ModelServer {
     /// now_ns() when the current batch began; 0 = idle. The stall
     /// watchdog reads this.
     std::atomic<std::int64_t> busy_since_ns{0};
-    /// Execution-plan compiler for this slot's batches (DESIGN.md §15).
-    /// Thread-confined to the replica thread; everything other threads
-    /// need is mirrored into `arena_bytes` below.
-    nn::StepPlanner planner;
-    /// Sealed plan arena capacity, refreshed after each batch extent;
-    /// read by stats() for the per-replica memory report.
-    std::atomic<std::int64_t> arena_bytes{0};
 
     Replica(nn::FrozenModel m, int s) : model(std::move(m)), slot(s) {}
   };

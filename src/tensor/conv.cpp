@@ -73,11 +73,9 @@ namespace {
 // packed-backward dW scratch. A pool worker runs one chunk at a time
 // and the pool is never re-entered, so the three named buffers of one
 // thread are never live twice concurrently. On the serial executor
-// path the staging is a Tensor instead, so an active execution plan
-// folds it into the step arena (DESIGN.md §15); workers cannot use the
-// arena (it is owner-thread-scoped and offset replay is sequential),
-// and this thread-local reuse is what keeps them allocation-free in
-// steady state.
+// path the staging is a Tensor freed with the call instead; in pool
+// workers this thread-local reuse is what keeps them allocation-free
+// in steady state.
 enum WorkerBuf { kColumns = 0, kDColumns = 1, kDwScratch = 2 };
 
 float* worker_scratch(WorkerBuf which, std::size_t floats) {
@@ -191,8 +189,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   if (n >= 4 || inline_exec) {
     // Batch-level parallelism; each sample's GEMM runs serially inside
     // its chunk (the pool must not be re-entered from a worker). On
-    // the serial device the "chunk" runs inline on the owner thread,
-    // where the staging tensor is arena-backed under a plan.
+    // the serial device the "chunk" runs inline on the owner thread
+    // and stages into a call-owned tensor.
     Tensor owner_cols;
     if (inline_exec) owner_cols = Tensor::uninit(Shape({patch * ohw}));
     dev.parallel_for(
@@ -221,7 +219,7 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   // GEMM across output channels (how GPU conv kernels keep SMs busy at
   // batch size 1, e.g. Torch's CIFAR-10 default). The packed kernel
   // threads over output-channel macro-tiles instead of raw rows. The
-  // unfold buffer lives on the owner thread: arena-backed under a plan.
+  // unfold buffer lives on the owner thread.
   Tensor owner_cols = Tensor::uninit(Shape({patch * ohw}));
   float* columns = owner_cols.raw();
   for (std::int64_t i = 0; i < n; ++i) {
@@ -287,8 +285,8 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
   const std::size_t dw_floats = static_cast<std::size_t>(g.out_c * patch);
   const bool inline_exec = !dev.is_parallel();
 
-  // Staging: arena-backed tensors on the serial executor path,
-  // grow-only thread-local buffers in pool workers (see worker_scratch).
+  // Staging: call-owned tensors on the serial executor path, grow-only
+  // thread-local buffers in pool workers (see worker_scratch).
   Tensor owner_cols, owner_dcols, owner_dw;
   if (inline_exec) {
     owner_cols = Tensor::uninit(Shape({patch * ohw}));

@@ -22,7 +22,7 @@ Tensor map2(const Tensor& a, const Tensor& b, const Device& dev, F f,
             const char* op) {
   check_same_shape(a, b, op);
   // uninit: every element is written below (Tensor::uninit ownership
-  // rule — zero-fill would be pure waste, doubly so on arena slots).
+  // rule — zero-fill would be pure waste).
   Tensor out = Tensor::uninit(a.shape());
   const float* pa = a.raw();
   const float* pb = b.raw();

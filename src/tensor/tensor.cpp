@@ -6,23 +6,15 @@
 #include <sstream>
 
 #include "runtime/trace.hpp"
-#include "tensor/arena.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::tensor {
 
 namespace {
 
-// Every tensor buffer is obtained here. When a step-scoped arena is
-// active on this thread (nn/plan.hpp) the buffer comes from — or is
-// measured for — the plan arena; otherwise it is a plain heap
-// allocation counted by the tensor.allocs / tensor.bytes trace
-// counters. The zero-allocation claim of the execution-plan compiler
-// is asserted against exactly these counters (DESIGN.md §15).
+// Every tensor buffer is obtained here: a plain heap allocation
+// counted by the tensor.allocs / tensor.bytes trace counters.
 std::shared_ptr<float[]> alloc_floats(std::size_t n, bool zero) {
-  if (arena::detail::scope_active()) {
-    if (auto p = arena::detail::scope_alloc(n, zero)) return p;
-  }
   auto p = std::shared_ptr<float[]>(zero ? new float[n]() : new float[n]);
   runtime::trace::counter_add("tensor.allocs", 1);
   runtime::trace::counter_add("tensor.bytes",
@@ -92,8 +84,7 @@ float Tensor::at(std::int64_t i) const {
 
 Tensor Tensor::clone() const {
   // uninit: the memcpy overwrites every element, so the zero-fill of
-  // Tensor(shape) would be pure waste (and a double fill on arena-
-  // backed copies; see the ownership rule in DESIGN.md §15).
+  // Tensor(shape) would be pure waste (ownership rule, DESIGN.md §15).
   Tensor copy = Tensor::uninit(shape_);
   if (numel() > 0)
     std::memcpy(copy.data_.get(), data_.get(),

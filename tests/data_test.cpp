@@ -218,5 +218,27 @@ TEST(Generators, RejectNonPositiveCounts) {
   EXPECT_THROW(synthetic_cifar10(c), dlbench::Error);
 }
 
+// ---- data loader buffer reuse -------------------------------------------
+
+TEST(DataLoaderReuse, SameShapeBatchesReuseTheBuffer) {
+  MnistOptions d;
+  d.train_samples = 32;
+  d.test_samples = 8;
+  auto mnist = synthetic_mnist(d);
+  DataLoader loader(mnist.train, /*batch_size=*/8, /*shuffle=*/true,
+                    util::Rng(3));
+  Batch batch;
+  ASSERT_TRUE(loader.next(batch));
+  const float* buffer = batch.images.raw();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(loader.next(batch));
+    EXPECT_EQ(batch.images.raw(), buffer) << "batch " << i + 1;
+  }
+  EXPECT_FALSE(loader.next(batch));
+  loader.start_epoch();  // new epoch, same shape: still the same buffer
+  ASSERT_TRUE(loader.next(batch));
+  EXPECT_EQ(batch.images.raw(), buffer);
+}
+
 }  // namespace
 }  // namespace dlbench::data

@@ -135,7 +135,7 @@ TEST(ThreadPool, EnvSizingIgnoresNonPositiveValues) {
   ::setenv("DLB_THREADS", "-4", 1);
   EXPECT_EQ(env_pool_threads(), fallback);
   ::setenv("DLB_THREADS", "not-a-number", 1);
-  EXPECT_EQ(env_pool_threads(), fallback);
+  EXPECT_THROW(env_pool_threads(), dlbench::Error);
   ::unsetenv("DLB_THREADS");
 }
 

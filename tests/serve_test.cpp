@@ -1,19 +1,23 @@
 // ModelServer: batched-vs-single bitwise parity per framework
 // emulation, backpressure bounds, batching behaviour, shutdown
-// semantics, and stats/trace accounting.
+// semantics, and stats/trace accounting; FrozenModel fusion parity.
 
 #include "serve/server.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "frameworks/framework.hpp"
 #include "frameworks/predictor.hpp"
+#include "frameworks/registry.hpp"
 #include "nn/frozen.hpp"
 #include "runtime/trace.hpp"
 #include "serve/loadgen.hpp"
@@ -24,7 +28,10 @@
 namespace {
 
 using dlbench::frameworks::DatasetId;
+using dlbench::frameworks::default_network_spec;
 using dlbench::frameworks::FrameworkKind;
+using dlbench::frameworks::kAllFrameworks;
+using dlbench::frameworks::make_framework;
 using dlbench::frameworks::make_predictor;
 using dlbench::frameworks::PredictorConfig;
 using dlbench::runtime::Device;
@@ -564,6 +571,56 @@ TEST(MixedTrace, ValidatesItsArguments) {
                dlbench::Error);
   EXPECT_THROW(make_mixed_trace({{"a", 0.0}}, 1.0, 1), dlbench::Error);
   EXPECT_THROW(make_mixed_trace({{"a", -5.0}}, 1.0, 1), dlbench::Error);
+}
+
+// ---- frozen-graph fusion -------------------------------------------------
+
+class FrozenFusionTest : public ::testing::TestWithParam<FrameworkKind> {};
+
+TEST_P(FrozenFusionTest, FusedFrozenForwardMatchesEvalForwardBitwise) {
+  const FrameworkKind kind = GetParam();
+  auto fw = make_framework(kind);
+  dlbench::util::Rng rng(5);
+  const Device dev = Device::gpu();
+  dlbench::nn::Sequential model =
+      fw->build_model(default_network_spec(kind, DatasetId::kMnist), dev,
+                      rng);
+  const auto frozen = dlbench::nn::FrozenModel::freeze(model);
+
+  dlbench::util::Rng data_rng(6);
+  const Tensor x =
+      Tensor::randn({5, 1, 28, 28}, data_rng);
+  dlbench::nn::Context ctx;
+  ctx.device = dev;
+  ctx.training = false;
+  dlbench::nn::Sequential& mutable_model = model;
+  const Tensor reference = mutable_model.forward(x, ctx);
+  const Tensor fused = frozen.forward(x, dev);
+  ASSERT_EQ(reference.numel(), fused.numel());
+  EXPECT_EQ(0, std::memcmp(reference.raw(), fused.raw(),
+                           static_cast<std::size_t>(reference.numel()) *
+                               sizeof(float)))
+      << frozen.describe();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFrameworks, FrozenFusionTest,
+                         ::testing::ValuesIn(kAllFrameworks),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+TEST(FrozenFusion, ConvReluPeepholeFiresOnConvModels) {
+  // TF's MNIST net interleaves conv and ReLU (Table IV); Caffe's LeNet
+  // has no conv-side ReLU to fuse, so it keeps its unfused stream.
+  auto fw = make_framework(FrameworkKind::kTensorFlow);
+  dlbench::util::Rng rng(5);
+  dlbench::nn::Sequential model =
+      fw->build_model(default_network_spec(FrameworkKind::kTensorFlow,
+                                           DatasetId::kMnist),
+                      Device::cpu(), rng);
+  const auto frozen = dlbench::nn::FrozenModel::freeze(model);
+  EXPECT_NE(frozen.describe().find("conv+relu"), std::string::npos)
+      << frozen.describe();
 }
 
 }  // namespace

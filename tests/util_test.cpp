@@ -1,8 +1,10 @@
-// Unit tests for dlb_util: RNG, formatting, tables, entropy stats.
+// Unit tests for dlb_util: RNG, formatting, tables, entropy stats,
+// env-knob parsing.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -10,6 +12,7 @@
 
 #include "util/crc32.hpp"
 #include "util/entropy.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -217,6 +220,69 @@ TEST(Check, ThrowsWithContext) {
     EXPECT_NE(std::string(e.what()).find("custom message 42"),
               std::string::npos);
   }
+}
+
+// Each case sets one variable and clears it again, so the cases do
+// not depend on run order.
+class EnvKnob : public ::testing::Test {
+ protected:
+  static constexpr const char* kName = "DLB_UTIL_TEST_KNOB";
+  void set(const char* value) { ::setenv(kName, value, 1); }
+  void TearDown() override { ::unsetenv(kName); }
+};
+
+TEST_F(EnvKnob, UnsetOrEmptyReturnsFallback) {
+  ::unsetenv(kName);
+  EXPECT_EQ(env_i64(kName, 7), 7);
+  EXPECT_EQ(env_f64(kName, 0.5), 0.5);
+  set("");
+  EXPECT_EQ(env_i64(kName, 7), 7);
+  EXPECT_EQ(env_f64(kName, 0.5), 0.5);
+}
+
+TEST_F(EnvKnob, ValidValuesParse) {
+  set("10");
+  EXPECT_EQ(env_i64(kName, 0), 10);
+  EXPECT_EQ(env_f64(kName, 0.0), 10.0);
+  set("-3");
+  EXPECT_EQ(env_i64(kName, 0), -3);
+  set("2e10");
+  EXPECT_EQ(env_f64(kName, 0.0), 2e10);
+  set("0.25");
+  EXPECT_EQ(env_f64(kName, 0.0), 0.25);
+}
+
+TEST_F(EnvKnob, TrailingGarbageThrowsNamingTheVariable) {
+  set("1O");  // letter O, not zero
+  try {
+    env_i64(kName, 0);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(kName), std::string::npos) << what;
+    EXPECT_NE(what.find("'1O'"), std::string::npos) << what;
+  }
+  set("0.5x");
+  EXPECT_THROW(env_f64(kName, 0.0), Error);
+  set("2.5");  // an integer knob does not silently truncate
+  EXPECT_THROW(env_i64(kName, 0), Error);
+}
+
+TEST_F(EnvKnob, NonNumericThrows) {
+  set("four");
+  EXPECT_THROW(env_i64(kName, 0), Error);
+  EXPECT_THROW(env_f64(kName, 0.0), Error);
+  set(" ");
+  EXPECT_THROW(env_i64(kName, 0), Error);
+}
+
+TEST_F(EnvKnob, OverflowThrows) {
+  set("9223372036854775808");  // INT64_MAX + 1
+  EXPECT_THROW(env_i64(kName, 0), Error);
+  set("-9223372036854775809");
+  EXPECT_THROW(env_i64(kName, 0), Error);
+  set("1e400");
+  EXPECT_THROW(env_f64(kName, 0.0), Error);
 }
 
 }  // namespace
