@@ -1,8 +1,9 @@
 // Microbenchmarks for the tensor kernels that dominate every
-// experiment: GEMM, im2col convolution, direct convolution, pooling,
-// softmax. Uses google-benchmark. Shapes are taken from the paper's
-// actual layers (Tables IV and V), plus square GEMM sizes for the
-// packed-vs-legacy kernel comparison (DESIGN.md §11, EXPERIMENTS.md).
+// experiment: GEMM, im2col convolution, direct convolution, panel
+// packing, pooling, softmax. Uses google-benchmark. Shapes are taken
+// from the paper's actual layers (Tables IV and V), plus square GEMM
+// sizes for the packed-vs-legacy kernel comparison (DESIGN.md §11,
+// EXPERIMENTS.md).
 //
 // Every bench reports arithmetic throughput (counter "GFLOPs", in
 // GFLOP/s) and memory throughput (counter "GBps", in GB/s, counting
@@ -18,6 +19,7 @@
 #include "tensor/conv.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/pack.hpp"
 #include "tensor/pool.hpp"
 
 namespace {
@@ -170,9 +172,84 @@ void BM_ConvDirectVsGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvDirectVsGemm)->Arg(0)->Arg(1)->UseRealTime();
 
+// im2col / col2im for one sample at the TF-MNIST conv2 geometry
+// (32->64, 5x5, 14x14 input, pad 2): pure data movement, so GBps (the
+// image read once and the column matrix written once, or the reverse)
+// is the number to read.
+void BM_Im2col(benchmark::State& state) {
+  const tensor::ConvGeom g{32, 14, 14, 64, 5, 1, 2};
+  util::Rng rng(5);
+  Tensor x = Tensor::randn(Shape({1, 32, 14, 14}), rng);
+  std::vector<float> cols(
+      static_cast<std::size_t>(g.patch_size() * g.out_h() * g.out_w()));
+  for (auto _ : state) {
+    tensor::im2col(x.raw(), g, cols.data());
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+  set_rates(state, 0.0,
+            4.0 * (static_cast<double>(x.numel()) +
+                   static_cast<double>(cols.size())));
+}
+BENCHMARK(BM_Im2col)->UseRealTime();
+
+void BM_Col2im(benchmark::State& state) {
+  const tensor::ConvGeom g{32, 14, 14, 64, 5, 1, 2};
+  util::Rng rng(6);
+  Tensor cols = Tensor::randn(
+      Shape({g.patch_size() * g.out_h() * g.out_w()}), rng);
+  std::vector<float> image(static_cast<std::size_t>(32 * 14 * 14));
+  for (auto _ : state) {
+    tensor::col2im(cols.raw(), g, image.data());
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  // One add per column element.
+  set_rates(state, static_cast<double>(cols.numel()),
+            4.0 * (static_cast<double>(cols.numel()) +
+                   static_cast<double>(image.size())));
+}
+BENCHMARK(BM_Col2im)->UseRealTime();
+
+// Packing a K x N B operand into NR-wide panels: {K, N, transposed,
+// parallel}. 3136 x 1024 is TF-MNIST fc1's weight, packed row-major by
+// the forward matmul and transposed (W^T) by the backward matmul_nt;
+// 800 x 196 is conv2's per-sample column matrix (13 panels, serial),
+// and 196 x 800 its transpose in the dW GEMM (50 panels, serial).
+void BM_PackB(benchmark::State& state) {
+  const auto k = state.range(0), n = state.range(1);
+  const bool transposed = state.range(2);
+  const Device dev = device_for(state.range(3));
+  util::Rng rng(7);
+  Tensor b = Tensor::randn(Shape({k, n}), rng);
+  std::vector<float> panels(
+      static_cast<std::size_t>(tensor::gemm_col_panels(n) * k *
+                               tensor::kGemmNR));
+  // Transposed: b holds B^T row-major, B(kk, j) = b[j*K + kk].
+  const std::int64_t rs = transposed ? 1 : n, cs = transposed ? k : 1;
+  for (auto _ : state) {
+    tensor::pack_b_panels(b.raw(), rs, cs, k, n, panels.data(), dev);
+    benchmark::DoNotOptimize(panels.data());
+    benchmark::ClobberMemory();
+  }
+  set_rates(state, 0.0,
+            4.0 * (static_cast<double>(b.numel()) +
+                   static_cast<double>(panels.size())));
+}
+BENCHMARK(BM_PackB)
+    ->Args({3136, 1024, 0, 0})
+    ->Args({3136, 1024, 0, 1})
+    ->Args({3136, 1024, 1, 0})
+    ->Args({3136, 1024, 1, 1})
+    ->Args({800, 196, 0, 0})
+    ->Args({196, 800, 1, 0})
+    ->UseRealTime();
+
+// {parallel, window}: 3x3/s2 over a 32x32 map (TF CIFAR's pool) and
+// 2x2/s2, the TF-MNIST pool.
 void BM_MaxPool(benchmark::State& state) {
   const Device dev = device_for(state.range(0));
-  tensor::PoolGeom g{64, 32, 32, 3, 2, false};
+  tensor::PoolGeom g{64, 32, 32, state.range(1), 2, false};
   util::Rng rng(4);
   Tensor x = Tensor::randn(Shape({32, 64, 32, 32}), rng);
   std::vector<std::int32_t> argmax;
@@ -185,7 +262,12 @@ void BM_MaxPool(benchmark::State& state) {
   set_rates(state, static_cast<double>(probe.numel()) * g.window * g.window,
             4.0 * (static_cast<double>(x.numel()) + probe.numel()));
 }
-BENCHMARK(BM_MaxPool)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_MaxPool)
+    ->Args({0, 3})
+    ->Args({1, 3})
+    ->Args({0, 2})
+    ->Args({1, 2})
+    ->UseRealTime();
 
 void BM_SoftmaxXent(benchmark::State& state) {
   const Device dev = device_for(state.range(0));

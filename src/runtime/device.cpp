@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "util/error.hpp"
+
 namespace dlbench::runtime {
 
 namespace {
@@ -33,6 +35,16 @@ const CpuFeatures& cpu_features() {
   return features;
 }
 
+SimdLevel parse_simd_request(const std::string& value, SimdLevel best) {
+  if (value == "scalar") return SimdLevel::kScalar;
+  // A request is a cap, not a guarantee: it cannot raise the level
+  // above what the build and the CPU support.
+  if (value == "avx2") return std::min(best, SimdLevel::kAvx2Fma);
+  if (value == "avx512" || value == "auto" || value.empty()) return best;
+  throw Error("DLB_SIMD='" + value +
+              "' is not one of scalar, avx2, avx512, auto");
+}
+
 SimdLevel active_simd_level() {
   static const SimdLevel level = [] {
 #if defined(DLB_HAVE_AVX2_BUILD)
@@ -50,16 +62,8 @@ SimdLevel active_simd_level() {
     if (avx2_built && f.avx2 && f.fma) best = SimdLevel::kAvx2Fma;
     if (best == SimdLevel::kAvx2Fma && avx512_built && f.avx512f)
       best = SimdLevel::kAvx512F;
-    if (const char* env = std::getenv("DLB_SIMD")) {
-      const std::string v(env);
-      if (v == "scalar") return SimdLevel::kScalar;
-      // A request is a cap, not a guarantee: it cannot raise the level
-      // above what the build and the CPU support.
-      if (v == "avx2") return std::min(best, SimdLevel::kAvx2Fma);
-      if (v == "avx512" || v == "auto" || v.empty()) return best;
-      return SimdLevel::kScalar;  // unknown value: fail safe, stay portable
-    }
-    return best;
+    const char* env = std::getenv("DLB_SIMD");
+    return parse_simd_request(env ? env : "", best);
   }();
   return level;
 }

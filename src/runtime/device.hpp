@@ -43,8 +43,15 @@ enum class SimdLevel { kScalar, kAvx2Fma, kAvx512F };
 /// overridable with DLB_SIMD=scalar|avx2|avx512|auto (default auto; a
 /// request cannot raise the level above what build+CPU support, and
 /// "avx2" caps an AVX-512 host at the AVX2 tier). Resolved once on
-/// first call and cached.
+/// first call and cached; any other DLB_SIMD value throws (see
+/// parse_simd_request).
 SimdLevel active_simd_level();
+
+/// The level a DLB_SIMD value selects on a host whose best built and
+/// supported level is `best`. Empty means auto. Any value other than
+/// scalar, avx2, avx512 or auto throws dlbench::Error naming DLB_SIMD
+/// and the accepted values, so a typo cannot silently turn SIMD off.
+SimdLevel parse_simd_request(const std::string& value, SimdLevel best);
 
 /// "scalar", "avx2+fma" or "avx512f" — for logs, benches and reports.
 const char* simd_level_name(SimdLevel level);

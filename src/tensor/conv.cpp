@@ -8,33 +8,66 @@
 
 #include "runtime/trace.hpp"
 #include "tensor/gemm_kernel.hpp"
+#include "tensor/pack.hpp"
 #include "util/error.hpp"
 
 namespace dlbench::tensor {
 
 using runtime::Device;
 
+namespace {
+
+// Outputs [lo, hi) of a kernel tap whose input coordinate
+// x*stride + off lies inside [0, in); the others read padding.
+struct ValidSpan {
+  std::int64_t lo, hi;
+};
+
+ValidSpan valid_span(std::int64_t off, std::int64_t stride, std::int64_t in,
+                     std::int64_t out) {
+  const std::int64_t lo =
+      off >= 0 ? 0 : std::min(out, (-off + stride - 1) / stride);
+  const std::int64_t end = in - off;  // first x has x*stride >= end
+  const std::int64_t hi =
+      end <= 0 ? 0 : std::min(out, (end + stride - 1) / stride);
+  return {lo, std::max(lo, hi)};
+}
+
+}  // namespace
+
+// Both loops below keep the image-bounds test out of the per-element
+// loop: each kernel tap's valid output rows and columns are worked out
+// once, so the copy and the += sweep vectorise. im2col is a pure copy
+// and col2im keeps each image element's += order of the bounds-tested
+// form, so the bits do not depend on the loop shape.
 void im2col(const float* image, const ConvGeom& g, float* columns) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   const std::int64_t ohw = oh * ow;
   // columns is [in_c * k * k, oh * ow], row-major.
   for (std::int64_t c = 0; c < g.in_c; ++c) {
+    const float* plane = image + c * g.in_h * g.in_w;
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      const std::int64_t y_off = ky - g.pad;
+      const auto [y_lo, y_hi] = valid_span(y_off, g.stride, g.in_h, oh);
       for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
         const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
         float* out_row = columns + row * ohw;
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride + ky - g.pad;
-          if (iy < 0 || iy >= g.in_h) {
-            std::memset(out_row + y * ow, 0,
-                        static_cast<std::size_t>(ow) * sizeof(float));
-            continue;
-          }
-          const float* in_row = image + (c * g.in_h + iy) * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kx - g.pad;
-            out_row[y * ow + x] =
-                (ix >= 0 && ix < g.in_w) ? in_row[ix] : 0.f;
+        const std::int64_t off = kx - g.pad;
+        const auto [lo, hi] = valid_span(off, g.stride, g.in_w, ow);
+        // A tap that reads any padding zeroes its whole output plane
+        // once, then copies the valid span of each valid row: cheaper
+        // than a short zero fill at both ends of every row.
+        if (lo > 0 || hi < ow || y_lo > 0 || y_hi < oh)
+          std::memset(out_row, 0,
+                      static_cast<std::size_t>(ohw) * sizeof(float));
+        for (std::int64_t y = y_lo; y < y_hi; ++y) {
+          float* out = out_row + y * ow;
+          const float* in_row = plane + (y * g.stride + y_off) * g.in_w;
+          if (g.stride == 1) {
+            for (std::int64_t x = lo; x < hi; ++x) out[x] = in_row[x + off];
+          } else {
+            for (std::int64_t x = lo; x < hi; ++x)
+              out[x] = in_row[x * g.stride + off];
           }
         }
       }
@@ -49,17 +82,23 @@ void col2im(const float* columns, const ConvGeom& g, float* image) {
               static_cast<std::size_t>(g.in_c * g.in_h * g.in_w) *
                   sizeof(float));
   for (std::int64_t c = 0; c < g.in_c; ++c) {
+    float* plane = image + c * g.in_h * g.in_w;
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      const std::int64_t y_off = ky - g.pad;
+      const auto [y_lo, y_hi] = valid_span(y_off, g.stride, g.in_h, oh);
       for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
         const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
         const float* in_row = columns + row * ohw;
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride + ky - g.pad;
-          if (iy < 0 || iy >= g.in_h) continue;
-          float* img_row = image + (c * g.in_h + iy) * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride + kx - g.pad;
-            if (ix >= 0 && ix < g.in_w) img_row[ix] += in_row[y * ow + x];
+        const std::int64_t off = kx - g.pad;
+        const auto [lo, hi] = valid_span(off, g.stride, g.in_w, ow);
+        for (std::int64_t y = y_lo; y < y_hi; ++y) {
+          float* img_row = plane + (y * g.stride + y_off) * g.in_w;
+          const float* src = in_row + y * ow;
+          if (g.stride == 1) {
+            for (std::int64_t x = lo; x < hi; ++x) img_row[x + off] += src[x];
+          } else {
+            for (std::int64_t x = lo; x < hi; ++x)
+              img_row[x * g.stride + off] += src[x];
           }
         }
       }
@@ -175,6 +214,12 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   const GemmEpilogue epi =
       fuse_relu ? GemmEpilogue::kBiasRowRelu : GemmEpilogue::kBiasRowInit;
   const Device serial = Device::cpu();
+  // W is the A operand of every sample's GEMM: pack it once per call.
+  Tensor w_panels;
+  if (packed) {
+    w_panels = Tensor::uninit(Shape({gemm_packed_a_floats(g.out_c, patch)}));
+    pack_a_panels(pw, patch, 1, g.out_c, patch, w_panels.raw(), serial);
+  }
 
   // Legacy tier's fused ReLU: one in-cache sweep over a sample's just-
   // computed output region.
@@ -203,8 +248,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
             im2col(px + static_cast<std::int64_t>(i) * in_sz, g, columns);
             float* out = py + static_cast<std::int64_t>(i) * out_sz;
             if (packed) {
-              gemm_packed(pw, patch, 1, columns, ohw, 1, out, g.out_c,
-                          patch, ohw, epi, pb, serial);
+              gemm_prepacked_a(w_panels.raw(), columns, ohw, 1, out, g.out_c,
+                               patch, ohw, epi, pb, serial);
             } else {
               gemm_sample(columns, out, 0, g.out_c);
               if (fuse_relu) relu_region(out, out_sz);
@@ -226,8 +271,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
     im2col(px + i * in_sz, g, columns);
     float* out = py + i * out_sz;
     if (packed) {
-      gemm_packed(pw, patch, 1, columns, ohw, 1, out, g.out_c, patch, ohw,
-                  epi, pb, dev);
+      gemm_prepacked_a(w_panels.raw(), columns, ohw, 1, out, g.out_c, patch,
+                       ohw, epi, pb, dev);
       continue;
     }
     dev.parallel_for(
@@ -285,6 +330,13 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
   const std::size_t dw_floats = static_cast<std::size_t>(g.out_c * patch);
   const bool inline_exec = !dev.is_parallel();
 
+  // W^T is the A operand of every sample's dcolumns GEMM: pack it once.
+  Tensor wt_panels;
+  if (packed) {
+    wt_panels = Tensor::uninit(Shape({gemm_packed_a_floats(patch, g.out_c)}));
+    pack_a_panels(pw, 1, patch, patch, g.out_c, wt_panels.raw(), serial);
+  }
+
   // Staging: call-owned tensors on the serial executor path, grow-only
   // thread-local buffers in pool workers (see worker_scratch).
   Tensor owner_cols, owner_dcols, owner_dw;
@@ -335,8 +387,9 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
                         patch, GemmEpilogue::kNone, nullptr, serial);
             for (std::size_t k = 0; k < dw_floats; ++k)
               local_dw[k] += dw_s[k];
-            gemm_packed(pw, 1, patch, dyo, ohw, 1, dcolumns, patch,
-                        g.out_c, ohw, GemmEpilogue::kNone, nullptr, serial);
+            gemm_prepacked_a(wt_panels.raw(), dyo, ohw, 1, dcolumns, patch,
+                             g.out_c, ohw, GemmEpilogue::kNone, nullptr,
+                             serial);
             col2im(dcolumns, g, pdx + static_cast<std::int64_t>(i) * in_sz);
             continue;
           }

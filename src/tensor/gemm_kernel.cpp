@@ -100,6 +100,15 @@ namespace {
 // (K * 512 floats) to L2/L3 instead of the whole matrix.
 constexpr std::int64_t kMacroColPanels = 32;
 
+// Grow-only scratch per calling thread: the training loop calls these
+// thousands of times from one thread, and serve replicas each get
+// their own buffers.
+float* grow_scratch(std::vector<float>& buf, std::int64_t floats) {
+  if (buf.size() < static_cast<std::size_t>(floats))
+    buf.resize(static_cast<std::size_t>(floats));
+  return buf.data();
+}
+
 }  // namespace
 
 void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
@@ -108,6 +117,18 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  GemmEpilogue epilogue, const float* bias,
                  const Device& dev, GemmMath math) {
   DLB_CHECK(m > 0 && k > 0 && n > 0, "gemm_packed: empty dimensions");
+  thread_local std::vector<float> pa;
+  float* a_panels = grow_scratch(pa, gemm_packed_a_floats(m, k));
+  pack_a_panels(a, a_rs, a_cs, m, k, a_panels, dev);
+  gemm_prepacked_a(a_panels, b, b_rs, b_cs, c, m, k, n, epilogue, bias, dev,
+                   math);
+}
+
+void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
+                      std::int64_t b_cs, float* c, std::int64_t m,
+                      std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
+                      const float* bias, const Device& dev, GemmMath math) {
+  DLB_CHECK(m > 0 && k > 0 && n > 0, "gemm_packed: empty dimensions");
   // No trace span here: every caller (matmul*, conv2d_forward) already
   // opens a kernel-category span, and a nested one would double-count
   // the category total (see TraceTest.KernelSpansRecordedFromMatmul).
@@ -115,23 +136,16 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
   const std::int64_t n_mp = gemm_row_panels(m);
   const std::int64_t n_np = gemm_col_panels(n);
 
-  // Grow-only scratch per calling thread: the training loop calls this
-  // thousands of times from one thread, and serve replicas each get
-  // their own buffers.
-  thread_local std::vector<float> pa, pb;
-  const std::size_t a_need = static_cast<std::size_t>(n_mp * kGemmMR * k);
-  const std::size_t b_need = static_cast<std::size_t>(n_np * kGemmNR * k);
-  if (pa.size() < a_need) pa.resize(a_need);
-  if (pb.size() < b_need) pb.resize(b_need);
-  pack_a_panels(a, a_rs, a_cs, m, k, pa.data(), dev);
-  pack_b_panels(b, b_rs, b_cs, k, n, pb.data(), dev);
+  thread_local std::vector<float> pb;
+  float* b_panels = grow_scratch(pb, n_np * kGemmNR * k);
+  pack_b_panels(b, b_rs, b_cs, k, n, b_panels, dev);
 
   const detail::SelectedKernels kernels = detail::select_micro_kernel(math);
   const detail::MicroKernelFn micro = kernels.single;
   const detail::MicroKernelFn micro_x2 = kernels.x2;
   const detail::MicroKernelFn micro_2x2 = kernels.quad;
-  const float* pa_data = pa.data();
-  const float* pb_data = pb.data();
+  const float* pa_data = a_panels;
+  const float* pb_data = b_panels;
 
   const bool row_bias = epilogue == GemmEpilogue::kBiasRowInit ||
                         epilogue == GemmEpilogue::kBiasRowRelu;

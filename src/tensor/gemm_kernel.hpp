@@ -78,6 +78,16 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  GemmEpilogue epilogue, const float* bias,
                  const runtime::Device& dev, GemmMath math = GemmMath::kFma);
 
+/// gemm_packed with A already in pack_a_panels layout (`a_panels`,
+/// gemm_packed_a_floats(M, K) floats). A caller that multiplies one A
+/// by many B operands — conv's weight against each sample's columns —
+/// packs A once instead of once per call; the bits are the same.
+void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
+                      std::int64_t b_cs, float* c, std::int64_t m,
+                      std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
+                      const float* bias, const runtime::Device& dev,
+                      GemmMath math = GemmMath::kFma);
+
 namespace detail {
 
 /// Computes one MR x NR tile from packed panels into `out` (row stride

@@ -37,6 +37,11 @@ inline std::int64_t gemm_col_panels(std::int64_t n) {
   return (n + kGemmNR - 1) / kGemmNR;
 }
 
+/// Floats pack_a_panels writes for an M x K operand.
+inline std::int64_t gemm_packed_a_floats(std::int64_t m, std::int64_t k) {
+  return gemm_row_panels(m) * k * kGemmMR;
+}
+
 /// Packs A(M x K), where A(m, k) = a[m*row_stride + k*col_stride], into
 /// `dst` (gemm_row_panels(M) * K * MR floats). Parallel over panels.
 void pack_a_panels(const float* a, std::int64_t row_stride,

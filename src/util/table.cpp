@@ -38,8 +38,11 @@ std::string Table::to_string() const {
   };
   auto line = [&](const std::vector<std::string>& cells) {
     std::string s = "|";
-    for (std::size_t c = 0; c < cells.size(); ++c)
-      s += " " + pad_right(cells[c], widths[c]) + " |";
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      s += ' ';
+      s += pad_right(cells[c], widths[c]);
+      s += " |";
+    }
     return s + "\n";
   };
 

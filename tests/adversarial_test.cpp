@@ -174,7 +174,9 @@ TEST(Jsma, TargetedAttackIncreasesTargetLogit) {
   EXPECT_GT(after, before);
   EXPECT_GT(out.iterations, 0);
   EXPECT_LE(out.distortion_l0, opt.max_distortion + 1e-6);
-  if (out.success) EXPECT_EQ(out.final_class, target);
+  if (out.success) {
+    EXPECT_EQ(out.final_class, target);
+  }
 }
 
 TEST(Jsma, OnlyIncreasesPixelsAndRespectsClip) {

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -246,6 +248,35 @@ TEST(Device, GrainKeepsSmallWorkInline) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(Device, SimdRequestSelectsAndCapsTheLevel) {
+  using runtime::SimdLevel;
+  for (const SimdLevel best :
+       {SimdLevel::kScalar, SimdLevel::kAvx2Fma, SimdLevel::kAvx512F}) {
+    EXPECT_EQ(runtime::parse_simd_request("", best), best);
+    EXPECT_EQ(runtime::parse_simd_request("auto", best), best);
+    EXPECT_EQ(runtime::parse_simd_request("avx512", best), best);
+    EXPECT_EQ(runtime::parse_simd_request("scalar", best), SimdLevel::kScalar);
+    EXPECT_EQ(runtime::parse_simd_request("avx2", best),
+              std::min(best, SimdLevel::kAvx2Fma));
+  }
+}
+
+TEST(Device, SimdRequestRejectsUnknownValues) {
+  for (const char* bad : {"AVX2", "avx", "sse4", "avx2 ", "none"}) {
+    try {
+      runtime::parse_simd_request(bad, runtime::SimdLevel::kAvx512F);
+      ADD_FAILURE() << "DLB_SIMD=" << bad << " was accepted";
+    } catch (const dlbench::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("DLB_SIMD='" + std::string(bad) + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("scalar, avx2, avx512, auto"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(Scale, SamplesScaleWithFloor) {
   ScaleConfig cfg;
   cfg.data_fraction = 0.1;
@@ -280,7 +311,7 @@ TEST(Scale, InvalidFractionThrows) {
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch sw;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(sw.seconds(), 0.0);
   const double before = sw.seconds();
   sw.reset();
