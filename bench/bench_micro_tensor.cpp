@@ -65,6 +65,23 @@ void BM_MatmulFc1(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulFc1)->Args({16, 0})->Args({16, 1})->Args({64, 1})->UseRealTime();
 
+// fc1's backward dX at the TF-MNIST shape: dY[batch, 1024] x W^T, with
+// W stored [3136, 1024], so B is packed from its transpose.
+void BM_MatmulFc1Nt(benchmark::State& state) {
+  const auto batch = state.range(0);
+  const Device dev = device_for(state.range(1));
+  util::Rng rng(1);
+  Tensor dy = Tensor::randn(Shape({batch, 1024}), rng);
+  Tensor w = Tensor::randn(Shape({3136, 1024}), rng);
+  for (auto _ : state) {
+    Tensor dx = tensor::matmul_nt(dy, w, dev);
+    benchmark::DoNotOptimize(dx.raw());
+  }
+  set_rates(state, gemm_flops(static_cast<double>(batch), 1024, 3136),
+            gemm_bytes(static_cast<double>(batch), 1024, 3136));
+}
+BENCHMARK(BM_MatmulFc1Nt)->Args({50, 0})->Args({50, 1})->UseRealTime();
+
 // Square GEMM through the packed SIMD kernel (the production matmul
 // path) — compare directly against BM_GemmRows at the same size.
 void BM_GemmPacked(benchmark::State& state) {
@@ -211,15 +228,15 @@ void BM_Col2im(benchmark::State& state) {
 }
 BENCHMARK(BM_Col2im)->UseRealTime();
 
-// Packing a K x N B operand into NR-wide panels: {K, N, transposed,
-// parallel}. 3136 x 1024 is TF-MNIST fc1's weight, packed row-major by
-// the forward matmul and transposed (W^T) by the backward matmul_nt;
-// 800 x 196 is conv2's per-sample column matrix (13 panels, serial),
-// and 196 x 800 its transpose in the dW GEMM (50 panels, serial).
+// Packing a K x N B operand into NR-wide panels on one thread: {K, N,
+// transposed}. 3136 x 1024 is TF-MNIST fc1's weight, packed row-major
+// by the forward matmul and transposed (W^T) by the backward matmul_nt
+// (the GEMM packs it one column block at a time; this packs it whole);
+// 800 x 196 is conv2's per-sample column matrix (13 panels), and
+// 196 x 800 its transpose in the dW GEMM (50 panels).
 void BM_PackB(benchmark::State& state) {
   const auto k = state.range(0), n = state.range(1);
   const bool transposed = state.range(2);
-  const Device dev = device_for(state.range(3));
   util::Rng rng(7);
   Tensor b = Tensor::randn(Shape({k, n}), rng);
   std::vector<float> panels(
@@ -228,7 +245,7 @@ void BM_PackB(benchmark::State& state) {
   // Transposed: b holds B^T row-major, B(kk, j) = b[j*K + kk].
   const std::int64_t rs = transposed ? 1 : n, cs = transposed ? k : 1;
   for (auto _ : state) {
-    tensor::pack_b_panels(b.raw(), rs, cs, k, n, panels.data(), dev);
+    tensor::pack_b_panels(b.raw(), rs, cs, k, n, panels.data());
     benchmark::DoNotOptimize(panels.data());
     benchmark::ClobberMemory();
   }
@@ -237,12 +254,10 @@ void BM_PackB(benchmark::State& state) {
                    static_cast<double>(panels.size())));
 }
 BENCHMARK(BM_PackB)
-    ->Args({3136, 1024, 0, 0})
-    ->Args({3136, 1024, 0, 1})
-    ->Args({3136, 1024, 1, 0})
-    ->Args({3136, 1024, 1, 1})
-    ->Args({800, 196, 0, 0})
-    ->Args({196, 800, 1, 0})
+    ->Args({3136, 1024, 0})
+    ->Args({3136, 1024, 1})
+    ->Args({800, 196, 0})
+    ->Args({196, 800, 1})
     ->UseRealTime();
 
 // {parallel, window}: 3x3/s2 over a 32x32 map (TF CIFAR's pool) and
@@ -317,6 +332,40 @@ BENCHMARK(BM_SgdStepSmallParams)
     ->Args({5000, 1})
     ->Args({50000, 1})
     ->UseRealTime();
+
+// One Adam step over the TF-MNIST parameter shapes (3.27 M floats, fc1's
+// weight 98 % of them) on {1, 2} threads: a pure streaming sweep, so
+// GBps against the host's copy bandwidth is the number to read.
+void BM_AdamStep(benchmark::State& state) {
+  const Device dev = Device::parallel(static_cast<std::size_t>(state.range(0)));
+  const Shape shapes[] = {Shape({32, 1, 5, 5}), Shape({32}),
+                          Shape({64, 32, 5, 5}), Shape({64}),
+                          Shape({3136, 1024}), Shape({1024}),
+                          Shape({1024, 10}), Shape({10})};
+  util::Rng rng(9);
+  std::vector<Tensor> params, grads;
+  for (const Shape& s : shapes) {
+    params.push_back(Tensor::randn(s, rng, 0.f, 0.1f));
+    grads.push_back(Tensor::randn(s, rng, 0.f, 0.01f));
+  }
+  std::vector<Tensor*> pp, gp;
+  double n = 0.0;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    pp.push_back(&params[i]);
+    gp.push_back(&grads[i]);
+    n += static_cast<double>(params[i].numel());
+  }
+  optim::Adam adam(optim::LrSchedule(1e-4));
+  std::int64_t step = 0;
+  for (auto _ : state) {
+    adam.step(pp, gp, step++, dev);
+    benchmark::DoNotOptimize(params[0].raw());
+  }
+  // ~14 flops per element (decay, both moments, sqrt, divide, step);
+  // four operand tensors (p, g, m, v), as perfbench's optim.gbps counts.
+  set_rates(state, 14.0 * n, 4.0 * 4.0 * n);
+}
+BENCHMARK(BM_AdamStep)->Arg(1)->Arg(2)->UseRealTime();
 
 void BM_Lrn(benchmark::State& state) {
   util::Rng rng(6);

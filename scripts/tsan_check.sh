@@ -5,7 +5,7 @@
 # merges), the tracing tests (label `trace` — thread-local event buffers
 # under an atomic scope pointer), the fault-injection tests (label
 # `fault`), the kernel suites (label `kernels` — the packed GEMM
-# macro loop splits row panels across pool workers and its determinism
+# macro loop splits column panels across pool workers and its determinism
 # tests run the same shapes under several thread counts), and the
 # serving chaos suite (label `chaos` — crash requeues, stall
 # abandonment, hedged first-wins claims and retry heaps are exactly the

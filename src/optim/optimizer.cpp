@@ -85,7 +85,7 @@ void Sgd::step(const std::vector<Tensor*>& params,
       const float* g = grads[i]->raw();
       dev.parallel_for(
           static_cast<std::size_t>(params[i]->numel()),
-          [&](std::size_t lo, std::size_t hi) {
+          [=](std::size_t lo, std::size_t hi) {
             for (std::size_t k = lo; k < hi; ++k)
               p[k] -= lr * (g[k] + wd * p[k]);
           },
@@ -101,7 +101,7 @@ void Sgd::step(const std::vector<Tensor*>& params,
     float* v = velocity_[i].raw();
     dev.parallel_for(
         static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
+        [=](std::size_t lo, std::size_t hi) {
           for (std::size_t k = lo; k < hi; ++k) {
             v[k] = mu * v[k] + g[k] + wd * p[k];
             p[k] -= lr * v[k];
@@ -136,7 +136,7 @@ void NesterovSgd::step(const std::vector<Tensor*>& params,
     float* v = velocity_[i].raw();
     dev.parallel_for(
         static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
+        [=](std::size_t lo, std::size_t hi) {
           for (std::size_t k = lo; k < hi; ++k) {
             const float gk = g[k] + wd * p[k];
             v[k] = mu * v[k] + gk;
@@ -172,7 +172,7 @@ void AdaGrad::step(const std::vector<Tensor*>& params,
     float* a = accum_[i].raw();
     dev.parallel_for(
         static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
+        [=](std::size_t lo, std::size_t hi) {
           for (std::size_t k = lo; k < hi; ++k) {
             const float gk = g[k] + wd * p[k];
             a[k] += gk * gk;
@@ -210,7 +210,7 @@ void RmsProp::step(const std::vector<Tensor*>& params,
     float* ms = mean_square_[i].raw();
     dev.parallel_for(
         static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
+        [=](std::size_t lo, std::size_t hi) {
           for (std::size_t k = lo; k < hi; ++k) {
             const float gk = g[k] + wd * p[k];
             ms[k] = rho * ms[k] + (1.f - rho) * gk * gk;
@@ -259,7 +259,7 @@ void Adam::step(const std::vector<Tensor*>& params,
     float* v = v_[i].raw();
     dev.parallel_for(
         static_cast<std::size_t>(params[i]->numel()),
-        [&](std::size_t lo, std::size_t hi) {
+        [=](std::size_t lo, std::size_t hi) {
           for (std::size_t k = lo; k < hi; ++k) {
             const float gk = g[k] + wd * p[k];
             m[k] = b1 * m[k] + (1.f - b1) * gk;

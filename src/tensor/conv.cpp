@@ -263,7 +263,7 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
   // Tiny batches on the parallel device: unfold serially, split the
   // GEMM across output channels (how GPU conv kernels keep SMs busy at
   // batch size 1, e.g. Torch's CIFAR-10 default). The packed kernel
-  // threads over output-channel macro-tiles instead of raw rows. The
+  // splits the output positions (its column panels) instead. The
   // unfold buffer lives on the owner thread.
   Tensor owner_cols = Tensor::uninit(Shape({patch * ohw}));
   float* columns = owner_cols.raw();

@@ -94,15 +94,22 @@ bool gemm_packed_active() {
 
 namespace {
 
-// Column macro-block width, in NR panels: a packed-B block of
-// kMacroColPanels panels is revisited by every row panel of a thread's
-// chunk before the next block streams in, bounding the B working set
-// (K * 512 floats) to L2/L3 instead of the whole matrix.
-constexpr std::int64_t kMacroColPanels = 32;
+// Packed-B floats one thread keeps in flight: a column block of panels
+// is packed into per-thread scratch, then every row panel of A runs
+// against it while it is still in L2.
+constexpr std::int64_t kBlockBudgetFloats = 256 * 1024 / sizeof(float);
+
+// Panels per column block: as many as fit the budget at this K, rounded
+// down to an even count so the paired kernels fill the block, and at
+// least one pair.
+std::int64_t block_panels(std::int64_t k) {
+  const std::int64_t fit = kBlockBudgetFloats / (k * kGemmNR);
+  return std::max<std::int64_t>(2, fit & ~std::int64_t{1});
+}
 
 // Grow-only scratch per calling thread: the training loop calls these
-// thousands of times from one thread, and serve replicas each get
-// their own buffers.
+// thousands of times from one thread, and serve replicas and pool
+// workers each get their own buffers.
 float* grow_scratch(std::vector<float>& buf, std::int64_t floats) {
   if (buf.size() < static_cast<std::size_t>(floats))
     buf.resize(static_cast<std::size_t>(floats));
@@ -135,145 +142,126 @@ void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
 
   const std::int64_t n_mp = gemm_row_panels(m);
   const std::int64_t n_np = gemm_col_panels(n);
-
-  thread_local std::vector<float> pb;
-  float* b_panels = grow_scratch(pb, n_np * kGemmNR * k);
-  pack_b_panels(b, b_rs, b_cs, k, n, b_panels, dev);
+  const std::int64_t nb = block_panels(k);
 
   const detail::SelectedKernels kernels = detail::select_micro_kernel(math);
   const detail::MicroKernelFn micro = kernels.single;
   const detail::MicroKernelFn micro_x2 = kernels.x2;
   const detail::MicroKernelFn micro_2x2 = kernels.quad;
-  const float* pa_data = a_panels;
-  const float* pb_data = b_panels;
 
   const bool row_bias = epilogue == GemmEpilogue::kBiasRowInit ||
                         epilogue == GemmEpilogue::kBiasRowRelu;
   const bool col_bias = epilogue == GemmEpilogue::kBiasColAdd ||
                         epilogue == GemmEpilogue::kBiasColRelu;
 
-  // Macro-tile loop: threads split the row panels; every C tile is
-  // computed whole by one thread (see determinism contract in the
-  // header).
+  // Macro loop: threads split the column panels; each walks its range
+  // in blocks of nb panels, packs a block into its own scratch and runs
+  // every row panel of A against it. Every C tile is computed whole by
+  // one thread (see the determinism contract in the header).
   dev.parallel_for(
-      static_cast<std::size_t>(n_mp),
+      static_cast<std::size_t>(n_np),
       [&](std::size_t lo, std::size_t hi) {
+        const auto np_lo = static_cast<std::int64_t>(lo);
+        const auto np_hi = static_cast<std::int64_t>(hi);
+        thread_local std::vector<float> pb;
+        float* b_block =
+            grow_scratch(pb, std::min(nb, np_hi - np_lo) * k * kGemmNR);
         float tmp[kGemmMR * kGemmNR];
         float bias_row_pad[kGemmMR];
         float bias_col_pad[kGemmNR];
-        for (std::int64_t np0 = 0; np0 < n_np; np0 += kMacroColPanels) {
-          const std::int64_t np1 = std::min(n_np, np0 + kMacroColPanels);
-          for (std::size_t mp = lo; mp < hi;) {
-            const std::int64_t m0 = static_cast<std::int64_t>(mp) * kGemmMR;
-            const std::int64_t mr = std::min(kGemmMR, m - m0);
-            const float* a_panel =
-                pa_data + static_cast<std::int64_t>(mp) * k * kGemmMR;
-            // Full interior pair of row panels: the quad kernel (when
-            // the tier has one) covers both against each streamed-in B
-            // panel pair, halving packed-B re-reads. Like column
-            // pairing, this only regroups whole tiles — per-element
-            // accumulation chains are untouched — so it is bitwise
-            // neutral, even though chunk boundaries make the pairing
-            // itself depend on the thread count.
-            if (micro_2x2 != nullptr && mp + 2 <= hi &&
-                m0 + 2 * kGemmMR <= m) {
-              const float* brow2 = row_bias ? bias + m0 : nullptr;
+
+        // Row bias for the MR rows from m0, zero-padded past M.
+        const auto row_bias_at = [&](std::int64_t m0) -> const float* {
+          if (!row_bias) return nullptr;
+          if (m0 + kGemmMR <= m) return bias + m0;
+          for (std::int64_t r = 0; r < kGemmMR; ++r)
+            bias_row_pad[r] = m0 + r < m ? bias[m0 + r] : 0.f;
+          return bias_row_pad;
+        };
+        // One MR x NR tile at rows [m0, m0+MR) and column panel np,
+        // staged through `tmp` when it crosses the edge of C.
+        const auto single = [&](const float* a_panel, std::int64_t m0,
+                                const float* brow, const float* b_panel,
+                                std::int64_t np) {
+          const std::int64_t mr = std::min(kGemmMR, m - m0);
+          const std::int64_t n0 = np * kGemmNR;
+          const std::int64_t nr = std::min(kGemmNR, n - n0);
+          const float* bcol = nullptr;
+          if (col_bias) {
+            if (nr == kGemmNR) {
+              bcol = bias + n0;
+            } else {
+              for (std::int64_t j = 0; j < kGemmNR; ++j)
+                bias_col_pad[j] = j < nr ? bias[n0 + j] : 0.f;
+              bcol = bias_col_pad;
+            }
+          }
+          if (mr == kGemmMR && nr == kGemmNR) {
+            micro(a_panel, b_panel, k, c + m0 * n + n0, n, epilogue, brow,
+                  bcol);
+            return;
+          }
+          micro(a_panel, b_panel, k, tmp, kGemmNR, epilogue, brow, bcol);
+          for (std::int64_t r = 0; r < mr; ++r)
+            std::memcpy(c + (m0 + r) * n + n0, tmp + r * kGemmNR,
+                        static_cast<std::size_t>(nr) * sizeof(float));
+        };
+
+        for (std::int64_t np0 = np_lo; np0 < np_hi; np0 += nb) {
+          const std::int64_t np1 = std::min(np_hi, np0 + nb);
+          const std::int64_t n0 = np0 * kGemmNR;
+          pack_b_panels(b + n0 * b_cs, b_rs, b_cs, k,
+                        std::min(n, np1 * kGemmNR) - n0, b_block);
+          // Panel np of B sits at b_block + (np - np0) * k * NR.
+          const auto b_panel = [&](std::int64_t np) {
+            return b_block + (np - np0) * k * kGemmNR;
+          };
+          for (std::int64_t mp = 0; mp < n_mp;) {
+            const std::int64_t m0 = mp * kGemmMR;
+            const float* a_panel = a_panels + mp * k * kGemmMR;
+            // Full pair of row panels: the quad kernel (when the tier
+            // has one) covers both against each B panel pair, halving
+            // packed-B re-reads. Like column pairing, this only
+            // regroups whole tiles, so it is bitwise neutral.
+            if (micro_2x2 != nullptr && m0 + 2 * kGemmMR <= m) {
               std::int64_t np = np0;
-              for (; np + 2 <= np1 && (np + 2) * kGemmNR <= n; np += 2) {
-                micro_2x2(a_panel, pb_data + np * k * kGemmNR, k,
-                          c + m0 * n + np * kGemmNR, n, epilogue, brow2,
+              for (; np + 2 <= np1 && (np + 2) * kGemmNR <= n; np += 2)
+                micro_2x2(a_panel, b_panel(np), k, c + m0 * n + np * kGemmNR,
+                          n, epilogue, row_bias_at(m0),
                           col_bias ? bias + np * kGemmNR : nullptr);
-              }
-              // Leftover column panel (or edge): two single-panel
-              // calls, one per row panel.
-              for (; np < np1; ++np) {
-                const std::int64_t n0 = np * kGemmNR;
-                const std::int64_t nr = std::min(kGemmNR, n - n0);
-                const float* b_panel = pb_data + np * k * kGemmNR;
-                const float* bcol = nullptr;
-                if (col_bias) {
-                  if (nr == kGemmNR) {
-                    bcol = bias + n0;
-                  } else {
-                    for (std::int64_t j = 0; j < kGemmNR; ++j)
-                      bias_col_pad[j] = j < nr ? bias[n0 + j] : 0.f;
-                    bcol = bias_col_pad;
-                  }
-                }
-                for (int half = 0; half < 2; ++half) {
-                  const float* ap = a_panel + half * k * kGemmMR;
+              // Leftover column panel (or edge): one single tile per
+              // row panel.
+              for (; np < np1; ++np)
+                for (std::int64_t half = 0; half < 2; ++half) {
                   const std::int64_t hm0 = m0 + half * kGemmMR;
-                  const float* hb = row_bias ? bias + hm0 : nullptr;
-                  if (nr == kGemmNR) {
-                    micro(ap, b_panel, k, c + hm0 * n + n0, n, epilogue, hb,
-                          bcol);
-                  } else {
-                    micro(ap, b_panel, k, tmp, kGemmNR, epilogue, hb, bcol);
-                    for (std::int64_t r = 0; r < kGemmMR; ++r)
-                      std::memcpy(c + (hm0 + r) * n + n0, tmp + r * kGemmNR,
-                                  static_cast<std::size_t>(nr) *
-                                      sizeof(float));
-                  }
+                  single(a_panel + half * k * kGemmMR, hm0, row_bias_at(hm0),
+                         b_panel(np), np);
                 }
-              }
               mp += 2;
               continue;
             }
-            const float* brow = nullptr;
-            if (row_bias) {
-              if (mr == kGemmMR) {
-                brow = bias + m0;
-              } else {
-                for (std::int64_t r = 0; r < kGemmMR; ++r)
-                  bias_row_pad[r] = r < mr ? bias[m0 + r] : 0.f;
-                brow = bias_row_pad;
-              }
-            }
+            const float* brow = row_bias_at(m0);
             for (std::int64_t np = np0; np < np1;) {
-              const std::int64_t n0 = np * kGemmNR;
-              // Full interior pair of column panels: take the
-              // double-panel kernel when the tier has one. Bitwise
-              // identical to two single-panel calls (see the x2
-              // declaration in gemm_kernel.hpp), so pairing — which
-              // shifts with the macro-block edge but never with the
-              // thread count — does not affect determinism.
-              if (micro_x2 != nullptr && mr == kGemmMR && np + 2 <= np1 &&
-                  n0 + 2 * kGemmNR <= n) {
-                micro_x2(a_panel, pb_data + np * k * kGemmNR, k,
-                         c + m0 * n + n0, n, epilogue, brow,
-                         col_bias ? bias + n0 : nullptr);
+              // Full pair of column panels: the double-panel kernel
+              // when the tier has one, bitwise identical to two
+              // single-panel calls (see the x2 declaration in
+              // gemm_kernel.hpp).
+              if (micro_x2 != nullptr && m0 + kGemmMR <= m && np + 2 <= np1 &&
+                  (np + 2) * kGemmNR <= n) {
+                micro_x2(a_panel, b_panel(np), k, c + m0 * n + np * kGemmNR,
+                         n, epilogue, brow,
+                         col_bias ? bias + np * kGemmNR : nullptr);
                 np += 2;
                 continue;
               }
-              const std::int64_t nr = std::min(kGemmNR, n - n0);
-              const float* b_panel = pb_data + np * k * kGemmNR;
-              const float* bcol = nullptr;
-              if (col_bias) {
-                if (nr == kGemmNR) {
-                  bcol = bias + n0;
-                } else {
-                  for (std::int64_t j = 0; j < kGemmNR; ++j)
-                    bias_col_pad[j] = j < nr ? bias[n0 + j] : 0.f;
-                  bcol = bias_col_pad;
-                }
-              }
-              if (mr == kGemmMR && nr == kGemmNR) {
-                micro(a_panel, b_panel, k, c + m0 * n + n0, n, epilogue,
-                      brow, bcol);
-              } else {
-                micro(a_panel, b_panel, k, tmp, kGemmNR, epilogue, brow,
-                      bcol);
-                for (std::int64_t r = 0; r < mr; ++r)
-                  std::memcpy(c + (m0 + r) * n + n0, tmp + r * kGemmNR,
-                              static_cast<std::size_t>(nr) * sizeof(float));
-              }
+              single(a_panel, m0, brow, b_panel(np), np);
               ++np;
             }
             ++mp;
           }
         }
       },
-      1);
+      2);
 }
 
 }  // namespace dlbench::tensor

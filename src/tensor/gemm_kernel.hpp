@@ -70,8 +70,9 @@ bool gemm_packed_active();
 /// Packed GEMM. A(m, k) = a[m*a_rs + k*a_cs], B(k, n) = b[k*b_rs +
 /// n*b_cs], C is written dense row-major [M, N]. `bias` must have N
 /// entries for the column epilogues, M entries for the row epilogues,
-/// and may be null for kNone. Parallelizes over macro-tiles of C via
-/// `dev`; bitwise-deterministic for any worker count.
+/// and may be null for kNone. Parallelizes over column panels of C via
+/// `dev`, each thread packing its B panels one L2-sized block at a
+/// time; bitwise-deterministic for any worker count.
 void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* c, std::int64_t m, std::int64_t k, std::int64_t n,

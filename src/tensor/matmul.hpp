@@ -15,8 +15,8 @@
 
 namespace dlbench::tensor {
 
-/// C = A(MxK) * B(KxN). Parallelized over macro-tiles (packed tier) or
-/// rows of A (scalar tier).
+/// C = A(MxK) * B(KxN). Parallelized over column panels of C (packed
+/// tier) or rows of A (scalar tier).
 Tensor matmul(const Tensor& a, const Tensor& b, const runtime::Device& dev);
 
 /// C = A^T(MxK as KxM stored) * B(KxN)  → matmul_tn(a, b): a is [K, M].

@@ -11,7 +11,7 @@ namespace {
 
 // Rows of row-major B per block: the block's source rows are read from
 // memory once, in address order, and stay cached while each panel of
-// the chunk takes its NR-float slice of every row in the block.
+// B takes its NR-float slice of every row in the block.
 constexpr std::int64_t kPackRowBlock = 16;
 
 }  // namespace
@@ -53,67 +53,56 @@ void pack_a_panels(const float* a, std::int64_t row_stride,
 
 void pack_b_panels(const float* b, std::int64_t row_stride,
                    std::int64_t col_stride, std::int64_t k, std::int64_t n,
-                   float* dst, const Device& dev) {
+                   float* dst) {
   const std::int64_t panels = gemm_col_panels(n);
-  dev.parallel_for(
-      static_cast<std::size_t>(panels),
-      [&](std::size_t lo, std::size_t hi) {
-        const auto p_lo = static_cast<std::int64_t>(lo);
-        const auto p_hi = static_cast<std::int64_t>(hi);
-        // Only the last panel of B can be narrower than NR.
-        const std::int64_t edge_cols =
-            std::min(kGemmNR, n - (p_hi - 1) * kGemmNR);
-        const std::int64_t p_full = edge_cols == kGemmNR ? p_hi : p_hi - 1;
-        if (col_stride == 1) {
-          // Row-major B: one block of rows at a time, so B is read in
-          // address order instead of one page-crossing column strip
-          // per panel.
-          for (std::int64_t k0 = 0; k0 < k; k0 += kPackRowBlock) {
-            const std::int64_t rows = std::min(kPackRowBlock, k - k0);
-            const float* block = b + k0 * row_stride;
-            for (std::int64_t p = p_lo; p < p_hi; ++p) {
-              float* out = dst + (p * k + k0) * kGemmNR;
-              const float* src = block + p * kGemmNR;
-              if (p < p_full) {
-                for (std::int64_t kk = 0; kk < rows; ++kk)
-                  std::memcpy(out + kk * kGemmNR, src + kk * row_stride,
-                              static_cast<std::size_t>(kGemmNR) *
-                                  sizeof(float));
-                continue;
-              }
-              for (std::int64_t kk = 0; kk < rows; ++kk) {
-                for (std::int64_t j = 0; j < edge_cols; ++j)
-                  out[kk * kGemmNR + j] = src[kk * row_stride + j];
-                for (std::int64_t j = edge_cols; j < kGemmNR; ++j)
-                  out[kk * kGemmNR + j] = 0.f;
-              }
-            }
-          }
-          return;
+  // Only the last panel of B can be narrower than NR.
+  const std::int64_t edge_cols = n - (panels - 1) * kGemmNR;
+  const std::int64_t p_full = edge_cols == kGemmNR ? panels : panels - 1;
+  if (col_stride == 1) {
+    // Row-major B: one block of rows at a time, so B is read in address
+    // order instead of one page-crossing column strip per panel.
+    for (std::int64_t k0 = 0; k0 < k; k0 += kPackRowBlock) {
+      const std::int64_t rows = std::min(kPackRowBlock, k - k0);
+      const float* block = b + k0 * row_stride;
+      for (std::int64_t p = 0; p < panels; ++p) {
+        float* out = dst + (p * k + k0) * kGemmNR;
+        const float* src = block + p * kGemmNR;
+        if (p < p_full) {
+          for (std::int64_t kk = 0; kk < rows; ++kk)
+            std::memcpy(out + kk * kGemmNR, src + kk * row_stride,
+                        static_cast<std::size_t>(kGemmNR) * sizeof(float));
+          continue;
         }
-        // Transposed B (row_stride == 1): each panel row takes one
-        // element from each of the panel's NR source columns, so the
-        // panel is written in address order and each source column is
-        // read in address order too (one cache line of it serves NR
-        // consecutive panel rows).
-        for (std::int64_t p = p_lo; p < p_hi; ++p) {
-          const float* src = b + p * kGemmNR * col_stride;
-          float* panel = dst + p * k * kGemmNR;
-          if (p < p_full) {
-            for (std::int64_t kk = 0; kk < k; ++kk)
-              for (std::int64_t j = 0; j < kGemmNR; ++j)
-                panel[kk * kGemmNR + j] = src[j * col_stride + kk * row_stride];
-            continue;
-          }
-          for (std::int64_t kk = 0; kk < k; ++kk) {
-            for (std::int64_t j = 0; j < edge_cols; ++j)
-              panel[kk * kGemmNR + j] = src[j * col_stride + kk * row_stride];
-            for (std::int64_t j = edge_cols; j < kGemmNR; ++j)
-              panel[kk * kGemmNR + j] = 0.f;
-          }
+        for (std::int64_t kk = 0; kk < rows; ++kk) {
+          for (std::int64_t j = 0; j < edge_cols; ++j)
+            out[kk * kGemmNR + j] = src[kk * row_stride + j];
+          for (std::int64_t j = edge_cols; j < kGemmNR; ++j)
+            out[kk * kGemmNR + j] = 0.f;
         }
-      },
-      4);
+      }
+    }
+    return;
+  }
+  // Transposed B (row_stride == 1): each panel row takes one element
+  // from each of the panel's NR source columns, so the panel is written
+  // in address order and each source column is read in address order
+  // too (one cache line of it serves NR consecutive panel rows).
+  for (std::int64_t p = 0; p < panels; ++p) {
+    const float* src = b + p * kGemmNR * col_stride;
+    float* panel = dst + p * k * kGemmNR;
+    if (p < p_full) {
+      for (std::int64_t kk = 0; kk < k; ++kk)
+        for (std::int64_t j = 0; j < kGemmNR; ++j)
+          panel[kk * kGemmNR + j] = src[j * col_stride + kk * row_stride];
+      continue;
+    }
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      for (std::int64_t j = 0; j < edge_cols; ++j)
+        panel[kk * kGemmNR + j] = src[j * col_stride + kk * row_stride];
+      for (std::int64_t j = edge_cols; j < kGemmNR; ++j)
+        panel[kk * kGemmNR + j] = 0.f;
+    }
+  }
 }
 
 }  // namespace dlbench::tensor

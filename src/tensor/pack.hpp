@@ -14,8 +14,10 @@
 //
 // Edge panels (M % MR, N % NR) are zero-padded to full width, so the
 // micro-kernel never branches on tile size; padded lanes produce zeros
-// that are simply not copied out. Packing is a pure reordering copy —
-// it is deterministic and parallelizes over panels.
+// that are simply not copied out. Packing is a pure reordering copy,
+// so it is deterministic. A is packed once per GEMM, in parallel over
+// panels; B is packed one L2-sized column block at a time by the
+// thread that consumes it (gemm_kernel.cpp's macro loop).
 
 #include <cstdint>
 
@@ -49,9 +51,11 @@ void pack_a_panels(const float* a, std::int64_t row_stride,
                    float* dst, const runtime::Device& dev);
 
 /// Packs B(K x N), where B(k, n) = b[k*row_stride + n*col_stride], into
-/// `dst` (gemm_col_panels(N) * K * NR floats). Parallel over panels.
+/// `dst` (gemm_col_panels(N) * K * NR floats), on the calling thread.
+/// A column block of a wider B is packed by passing its first column
+/// (b + n0*col_stride) and its width as N.
 void pack_b_panels(const float* b, std::int64_t row_stride,
                    std::int64_t col_stride, std::int64_t k, std::int64_t n,
-                   float* dst, const runtime::Device& dev);
+                   float* dst);
 
 }  // namespace dlbench::tensor

@@ -453,8 +453,10 @@ TEST(CopyKernelDiff, PanelPackingMatchesPerElementLayout) {
   util::Rng rng(102);
   const Device devs[] = {Device::cpu(), Device::parallel(3)};
   for (int trial = 0; trial < 60; ++trial) {
-    // k crosses the transposed scatter's 128-row block; m and n cover
-    // full panels, edge panels and single partial panels.
+    // k crosses the row-major B pack's 16-row blocks; m and n cover
+    // full panels, edge panels and single partial panels. The device
+    // matters only to pack_a, which splits panels across workers;
+    // pack_b always runs on the calling thread.
     const std::int64_t m = draw(rng, 1, 40), n = draw(rng, 1, 90);
     const std::int64_t k = draw(rng, 1, 300);
     const std::vector<float> src = tricky_values(rng, std::max(m, n) * k);
@@ -473,7 +475,7 @@ TEST(CopyKernelDiff, PanelPackingMatchesPerElementLayout) {
       const std::int64_t b_len = gemm_col_panels(n) * k * kGemmNR;
       got.assign(static_cast<std::size_t>(b_len), 7.f);
       want.assign(static_cast<std::size_t>(b_len), -7.f);
-      pack_b_panels(src.data(), b_rs, b_cs, k, n, got.data(), dev);
+      pack_b_panels(src.data(), b_rs, b_cs, k, n, got.data());
       ref::pack_b(src.data(), b_rs, b_cs, k, n, want.data());
       ASSERT_EQ(bits(got.data(), b_len), bits(want.data(), b_len))
           << "B " << k << "x" << n << (transposed ? " T" : " N");

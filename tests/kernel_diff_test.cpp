@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -436,6 +438,124 @@ TEST(KernelDiffTest, GemmPackedCoversStridesEpiloguesAndBothRoundings) {
   }
 }
 
+// One output element's exact chain: acc starts at the row bias (or 0),
+// takes every k in ascending order with the GemmMath rounding, then the
+// column bias and ReLU. kFma rounds once per step (std::fma); kMulAdd
+// rounds the product (stored through volatile, so it cannot be
+// contracted) and then the sum.
+float exact_chain_element(const float* a, const float* b, std::int64_t b_rs,
+                          std::int64_t b_cs, std::int64_t row,
+                          std::int64_t col, std::int64_t k, GemmEpilogue ep,
+                          GemmMath math, const float* bias) {
+  const bool row_init =
+      ep == GemmEpilogue::kBiasRowInit || ep == GemmEpilogue::kBiasRowRelu;
+  float acc = row_init ? bias[row] : 0.f;
+  for (std::int64_t p = 0; p < k; ++p) {
+    const float av = a[row * k + p], bv = b[p * b_rs + col * b_cs];
+    if (math == GemmMath::kFma) {
+      acc = std::fma(av, bv, acc);
+    } else {
+      volatile float prod = av * bv;
+      acc = acc + prod;
+    }
+  }
+  if (ep == GemmEpilogue::kBiasColAdd || ep == GemmEpilogue::kBiasColRelu)
+    acc += bias[col];
+  if (ep == GemmEpilogue::kBiasColRelu || ep == GemmEpilogue::kBiasRowRelu)
+    acc = acc > 0.f ? acc : 0.f;
+  return acc;
+}
+
+// Bit-pattern equality (so -0 differs from +0), reporting the first
+// element that differs.
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  const auto bytes = static_cast<std::size_t>(got.numel()) * sizeof(float);
+  if (std::memcmp(got.raw(), want.raw(), bytes) == 0) return;
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    std::uint32_t g, w;
+    std::memcpy(&g, got.raw() + i, sizeof(g));
+    std::memcpy(&w, want.raw() + i, sizeof(w));
+    ASSERT_EQ(g, w) << what << " differs at flat index " << i << ": "
+                    << got.at(i) << " vs " << want.at(i);
+  }
+}
+
+// gemm_packed and gemm_prepacked_a against the exact per-element chain,
+// bitwise, at every thread count. The GEMM packs B one column block at
+// a time (a 256 KB block of K x 16 panels, at least two), so the column
+// counts are odd panel counts that cross two block edges, with a
+// partial last panel (N % 16 == 9); at K = 1 a block holds 4096 panels
+// and the shape stays inside one. M covers a lone row, partial and full
+// row panels, and an odd panel count for the paired kernels.
+TEST(KernelDiffTest, PackedGemmEqualsExactChainAcrossBlockEdges) {
+  constexpr std::int64_t kBlockFloats = 256 * 1024 / sizeof(float);
+  util::Rng rng(1313);
+  const Device devices[] = {Device::cpu(), Device::parallel(2),
+                            Device::parallel(3), Device::parallel(8)};
+  const GemmEpilogue eps[] = {
+      GemmEpilogue::kNone, GemmEpilogue::kBiasColAdd,
+      GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,
+      GemmEpilogue::kBiasRowRelu};
+  for (const std::int64_t k : {1L, 50L, 800L, 3136L}) {
+    const std::int64_t block =
+        std::max<std::int64_t>(2, (kBlockFloats / (k * kGemmNR)) & ~1L);
+    const std::int64_t panels = k == 1 ? 9 : 2 * block + 3;
+    const std::int64_t n = (panels - 1) * kGemmNR + 9;
+    for (const std::int64_t m : {1L, 5L, 6L, 7L, 12L, 13L, 50L}) {
+      Tensor a = Tensor::randn(Shape({m, k}), rng);
+      Tensor b = Tensor::randn(Shape({k, n}), rng);
+      Tensor bt = Tensor::uninit(Shape({n, k}));  // the same B, transposed
+      for (std::int64_t p = 0; p < k; ++p)
+        for (std::int64_t j = 0; j < n; ++j)
+          bt.data()[j * k + p] = b.at(p * n + j);
+      Tensor bias_row = Tensor::randn(Shape({m}), rng);
+      Tensor bias_col = Tensor::randn(Shape({n}), rng);
+      std::vector<float> a_panels(
+          static_cast<std::size_t>(gemm_packed_a_floats(m, k)));
+      pack_a_panels(a.raw(), k, 1, m, k, a_panels.data(), Device::cpu());
+      for (const GemmEpilogue ep : eps) {
+        const bool row = ep == GemmEpilogue::kBiasRowInit ||
+                         ep == GemmEpilogue::kBiasRowRelu;
+        const float* bias = ep == GemmEpilogue::kNone ? nullptr
+                            : row                     ? bias_row.raw()
+                                                      : bias_col.raw();
+        for (const GemmMath math : {GemmMath::kFma, GemmMath::kMulAdd}) {
+          Tensor want = Tensor::uninit(Shape({m, n}));
+          for (std::int64_t i = 0; i < m; ++i)
+            for (std::int64_t j = 0; j < n; ++j)
+              want.data()[i * n + j] = exact_chain_element(
+                  a.raw(), b.raw(), n, 1, i, j, k, ep, math, bias);
+          const std::string what =
+              std::to_string(m) + "x" + std::to_string(k) + "x" +
+              std::to_string(n) + " ep=" +
+              std::to_string(static_cast<int>(ep)) +
+              " math=" + std::to_string(static_cast<int>(math));
+          for (const Device& dev : devices) {
+            const std::string on =
+                what + " workers=" + std::to_string(dev.workers());
+            for (const bool transposed : {false, true}) {
+              const float* bp = transposed ? bt.raw() : b.raw();
+              const std::int64_t b_rs = transposed ? 1 : n;
+              const std::int64_t b_cs = transposed ? k : 1;
+              const std::string tag = on + (transposed ? " B^T" : " B");
+              Tensor got = Tensor::full(Shape({m, n}), -7.f);
+              gemm_packed(a.raw(), k, 1, bp, b_rs, b_cs, got.raw(), m, k, n,
+                          ep, bias, dev, math);
+              expect_same_bits(got, want, "gemm_packed " + tag);
+              got.fill(-7.f);
+              gemm_prepacked_a(a_panels.data(), bp, b_rs, b_cs, got.raw(), m,
+                               k, n, ep, bias, dev, math);
+              expect_same_bits(got, want, "gemm_prepacked_a " + tag);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // The fused epilogues run while the tile is still in registers, but the
 // float operations and their order are exactly those of the unfused
 // sequence, so the results must be bitwise identical — this is what
@@ -507,7 +627,7 @@ TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
     std::vector<float> pa(static_cast<std::size_t>(2 * kGemmMR * k));
     std::vector<float> pb(static_cast<std::size_t>(2 * kGemmNR * k));
     pack_a_panels(a.raw(), k, 1, m, k, pa.data(), serial);
-    pack_b_panels(b.raw(), n, 1, k, n, pb.data(), serial);
+    pack_b_panels(b.raw(), n, 1, k, n, pb.data());
     const GemmEpilogue eps[] = {
         GemmEpilogue::kNone, GemmEpilogue::kBiasColAdd,
         GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,

@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "optim/optimizer.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dlbench::optim {
 namespace {
@@ -224,6 +230,209 @@ TEST(RmsProp, ConvergesOnQuadratic) {
 
 TEST(RmsProp, RejectsBadDecay) {
   EXPECT_THROW(RmsProp(LrSchedule(0.1), 1.0), dlbench::Error);
+}
+
+// ---- The vectorised updates against the per-element loops ----
+//
+// Each optimizer's update is a vectorised sweep; these references are
+// the plain per-element loops it must reproduce bit for bit. sqrt and
+// division are correctly rounded in either form, and both forms build
+// the same expression tree, so no tolerance is needed.
+
+namespace ref {
+
+const LrSchedule kSchedule(0.01, {2}, {0.004});
+constexpr double kMomentum = 0.9, kEps = 1e-8, kDecay = 0.9;
+constexpr double kBeta1 = 0.9, kBeta2 = 0.999;
+
+// One tensor's update at `step`; s1/s2 are its optimizer state slots.
+using Update = void (*)(float* p, const float* g, float* s1, float* s2,
+                        std::size_t n, std::int64_t step, double wd);
+
+void sgd(float* p, const float* g, float*, float*, std::size_t n,
+         std::int64_t step, double weight_decay) {
+  const auto lr = static_cast<float>(kSchedule.rate(step));
+  const auto wd = static_cast<float>(weight_decay);
+  for (std::size_t k = 0; k < n; ++k) p[k] -= lr * (g[k] + wd * p[k]);
+}
+
+void momentum(float* p, const float* g, float* v, float*, std::size_t n,
+              std::int64_t step, double weight_decay) {
+  const auto lr = static_cast<float>(kSchedule.rate(step));
+  const auto wd = static_cast<float>(weight_decay);
+  const auto mu = static_cast<float>(kMomentum);
+  for (std::size_t k = 0; k < n; ++k) {
+    v[k] = mu * v[k] + g[k] + wd * p[k];
+    p[k] -= lr * v[k];
+  }
+}
+
+void nesterov(float* p, const float* g, float* v, float*, std::size_t n,
+              std::int64_t step, double weight_decay) {
+  const auto lr = static_cast<float>(kSchedule.rate(step));
+  const auto mu = static_cast<float>(kMomentum);
+  const auto wd = static_cast<float>(weight_decay);
+  for (std::size_t k = 0; k < n; ++k) {
+    const float gk = g[k] + wd * p[k];
+    v[k] = mu * v[k] + gk;
+    p[k] -= lr * (gk + mu * v[k]);
+  }
+}
+
+void adagrad(float* p, const float* g, float* a, float*, std::size_t n,
+             std::int64_t step, double weight_decay) {
+  const auto lr = static_cast<float>(kSchedule.rate(step));
+  const auto eps = static_cast<float>(kEps);
+  const auto wd = static_cast<float>(weight_decay);
+  for (std::size_t k = 0; k < n; ++k) {
+    const float gk = g[k] + wd * p[k];
+    a[k] += gk * gk;
+    p[k] -= lr * gk / (std::sqrt(a[k]) + eps);
+  }
+}
+
+void rmsprop(float* p, const float* g, float* ms, float*, std::size_t n,
+             std::int64_t step, double weight_decay) {
+  const auto lr = static_cast<float>(kSchedule.rate(step));
+  const auto rho = static_cast<float>(kDecay);
+  const auto eps = static_cast<float>(kEps);
+  const auto wd = static_cast<float>(weight_decay);
+  for (std::size_t k = 0; k < n; ++k) {
+    const float gk = g[k] + wd * p[k];
+    ms[k] = rho * ms[k] + (1.f - rho) * gk * gk;
+    p[k] -= lr * gk / (std::sqrt(ms[k]) + eps);
+  }
+}
+
+void adam(float* p, const float* g, float* m, float* v, std::size_t n,
+          std::int64_t step, double weight_decay) {
+  const double lr = kSchedule.rate(step);
+  const double t = static_cast<double>(step) + 1.0;
+  const double bc1 = 1.0 - std::pow(kBeta1, t);
+  const double bc2 = 1.0 - std::pow(kBeta2, t);
+  const auto alpha = static_cast<float>(lr * std::sqrt(bc2) / bc1);
+  const auto b1 = static_cast<float>(kBeta1);
+  const auto b2 = static_cast<float>(kBeta2);
+  const auto eps = static_cast<float>(kEps);
+  const auto wd = static_cast<float>(weight_decay);
+  for (std::size_t k = 0; k < n; ++k) {
+    const float gk = g[k] + wd * p[k];
+    m[k] = b1 * m[k] + (1.f - b1) * gk;
+    v[k] = b2 * v[k] + (1.f - b2) * gk * gk;
+    p[k] -= alpha * m[k] / (std::sqrt(v[k]) + eps);
+  }
+}
+
+}  // namespace ref
+
+// Zeros of both signs, denormals of both signs, values near 1e15 (whose
+// squares stay finite) and ordinary normals.
+float tricky_value(util::Rng& rng) {
+  const float sign = rng.uniform_index(2) ? 1.f : -1.f;
+  switch (rng.uniform_index(8)) {
+    case 0:
+      return sign * 0.f;
+    case 1:
+      return sign * std::numeric_limits<float>::denorm_min() *
+             static_cast<float>(1 + rng.uniform_index(1u << 20));
+    case 2:
+      return sign * static_cast<float>(rng.uniform(1e14, 1e15));
+    default:
+      return static_cast<float>(rng.normal());
+  }
+}
+
+std::vector<std::uint32_t> float_bits(const Tensor& t) {
+  std::vector<std::uint32_t> out(static_cast<std::size_t>(t.numel()));
+  std::memcpy(out.data(), t.raw(), out.size() * sizeof(float));
+  return out;
+}
+
+TEST(Optim, VectorisedUpdatesMatchPerElementLoopsBitwise) {
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<Optimizer>(double wd)> make;
+    ref::Update update;
+  };
+  const Case cases[] = {
+      {"sgd",
+       [](double wd) {
+         return std::make_unique<Sgd>(ref::kSchedule, 0.0, wd);
+       },
+       ref::sgd},
+      {"momentum",
+       [](double wd) {
+         return std::make_unique<Sgd>(ref::kSchedule, ref::kMomentum, wd);
+       },
+       ref::momentum},
+      {"nesterov",
+       [](double wd) {
+         return std::make_unique<NesterovSgd>(ref::kSchedule, ref::kMomentum,
+                                              wd);
+       },
+       ref::nesterov},
+      {"adagrad",
+       [](double wd) {
+         return std::make_unique<AdaGrad>(ref::kSchedule, ref::kEps, wd);
+       },
+       ref::adagrad},
+      {"rmsprop",
+       [](double wd) {
+         return std::make_unique<RmsProp>(ref::kSchedule, ref::kDecay,
+                                          ref::kEps, wd);
+       },
+       ref::rmsprop},
+      {"adam",
+       [](double wd) {
+         return std::make_unique<Adam>(ref::kSchedule, ref::kBeta1,
+                                       ref::kBeta2, ref::kEps, wd);
+       },
+       ref::adam},
+  };
+  // Sizes cover an empty vector tail, odd tails, and tensors above the
+  // 4096-element grain, which the parallel device splits.
+  const std::int64_t sizes[] = {1, 17, 255, 4099, 9001};
+  const Device devices[] = {Device::cpu(), Device::parallel(3)};
+  constexpr int kSteps = 4;
+  for (const Case& c : cases) {
+    for (const double wd : {0.0, 1e-3}) {
+      for (const Device& dev : devices) {
+        util::Rng rng(17);
+        std::vector<Tensor> params, grads;
+        std::vector<std::vector<float>> want, s1, s2;
+        for (const std::int64_t n : sizes) {
+          std::vector<float> init(static_cast<std::size_t>(n));
+          for (float& e : init) e = tricky_value(rng);
+          params.emplace_back(Shape({n}), init);
+          grads.emplace_back(Shape({n}));
+          want.push_back(init);
+          s1.emplace_back(init.size(), 0.f);
+          s2.emplace_back(init.size(), 0.f);
+        }
+        std::vector<Tensor*> pp, gp;
+        for (std::size_t i = 0; i < params.size(); ++i) {
+          pp.push_back(&params[i]);
+          gp.push_back(&grads[i]);
+        }
+        const std::unique_ptr<Optimizer> opt = c.make(wd);
+        for (int step = 0; step < kSteps; ++step) {
+          for (std::size_t i = 0; i < params.size(); ++i) {
+            for (std::int64_t k = 0; k < grads[i].numel(); ++k)
+              grads[i].data()[k] = tricky_value(rng);
+            c.update(want[i].data(), grads[i].raw(), s1[i].data(),
+                     s2[i].data(), want[i].size(), step, wd);
+          }
+          opt->step(pp, gp, step, dev);
+          for (std::size_t i = 0; i < params.size(); ++i) {
+            const Tensor expect(params[i].shape(), want[i]);
+            ASSERT_EQ(float_bits(params[i]), float_bits(expect))
+                << c.name << " wd=" << wd << " step=" << step
+                << " tensor=" << i << (dev.is_parallel() ? " 3 workers" : "");
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

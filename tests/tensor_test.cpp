@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "runtime/device.hpp"
@@ -76,6 +78,43 @@ TEST(Tensor, HasNonFiniteDetectsNanAndInf) {
   EXPECT_TRUE(t.has_non_finite());
   t.data()[1] = INFINITY;
   EXPECT_TRUE(t.has_non_finite());
+}
+
+// The sweep is vectorised with no early exit, so a lone non-finite
+// value must be found in every lane position, including the scalar tail
+// of a length that is not a multiple of the vector width.
+TEST(Tensor, HasNonFiniteFindsOneValueAtAnyPosition) {
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       -std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const std::int64_t n : {1L, 7L, 15L, 17L, 33L, 1001L}) {
+    Tensor t(Shape({n}), 0.5f);
+    ASSERT_FALSE(t.has_non_finite()) << "n=" << n;
+    for (const std::int64_t at : {std::int64_t{0}, n / 2, n - 1}) {
+      for (const float v : bad) {
+        t.data()[at] = v;
+        EXPECT_TRUE(t.has_non_finite()) << "n=" << n << " at=" << at
+                                        << " value=" << v;
+        t.data()[at] = 0.5f;
+      }
+    }
+  }
+}
+
+TEST(Tensor, HasNonFiniteAcceptsEveryFiniteExtreme) {
+  const float finite[] = {std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          std::numeric_limits<float>::min(),
+                          std::numeric_limits<float>::max(),
+                          -std::numeric_limits<float>::max(),
+                          0.f,
+                          -0.f};
+  Tensor t(Shape({19}));
+  for (std::int64_t i = 0; i < t.numel(); ++i)
+    t.data()[i] = finite[i % std::size(finite)];
+  EXPECT_FALSE(t.has_non_finite());
+  EXPECT_FALSE(Tensor(Shape({0})).has_non_finite());
 }
 
 TEST(Tensor, RandnIsDeterministicPerSeed) {
