@@ -2,8 +2,9 @@
 // experiment: GEMM, im2col convolution, direct convolution, panel
 // packing, pooling, softmax. Uses google-benchmark. Shapes are taken
 // from the paper's actual layers (Tables IV and V), plus square GEMM
-// sizes for the packed-vs-legacy kernel comparison (DESIGN.md §11,
-// EXPERIMENTS.md).
+// sizes that track the packed kernel's peak (DESIGN.md §11,
+// EXPERIMENTS.md). DLB_SIMD=scalar|avx2 runs every bench on a lower
+// tier's micro-kernel.
 //
 // Every bench reports arithmetic throughput (counter "GFLOPs", in
 // GFLOP/s) and memory throughput (counter "GBps", in GB/s, counting
@@ -82,8 +83,7 @@ void BM_MatmulFc1Nt(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulFc1Nt)->Args({50, 0})->Args({50, 1})->UseRealTime();
 
-// Square GEMM through the packed SIMD kernel (the production matmul
-// path) — compare directly against BM_GemmRows at the same size.
+// Square GEMM through the packed kernel (the production matmul path).
 void BM_GemmPacked(benchmark::State& state) {
   const auto s = state.range(0);
   const Device dev = device_for(true);
@@ -99,27 +99,9 @@ void BM_GemmPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmPacked)->Arg(256)->Arg(384)->Arg(512)->UseRealTime();
 
-// The same sizes through the retained legacy row-blocked kernel — the
-// pre-packing baseline the ">= 2x" kernel acceptance is measured
-// against (scripts/perf_smoke.sh checks the ratio).
-void BM_GemmRows(benchmark::State& state) {
-  const auto s = state.range(0);
-  const Device dev = device_for(true);
-  util::Rng rng(7);
-  Tensor a = Tensor::randn(Shape({s, s}), rng);
-  Tensor b = Tensor::randn(Shape({s, s}), rng);
-  for (auto _ : state) {
-    Tensor c = tensor::matmul_rows_reference(a, b, dev);
-    benchmark::DoNotOptimize(c.raw());
-  }
-  const double d = static_cast<double>(s);
-  set_rates(state, gemm_flops(d, d, d), gemm_bytes(d, d, d));
-}
-BENCHMARK(BM_GemmRows)->Arg(256)->Arg(384)->Arg(512)->UseRealTime();
-
 // Square A * B^T through the packed kernel (the backward-pass dgrad
-// shape: dx = dy * W^T with W stored [in, out] transposed access).
-// Routed onto gemm_packed in this PR; the perf_smoke floor pins it.
+// shape: dx = dy * W^T with W stored [in, out] transposed access);
+// the perf_smoke floor pins it.
 void BM_GemmNt(benchmark::State& state) {
   const auto s = state.range(0);
   const Device dev = device_for(true);

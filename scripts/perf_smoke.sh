@@ -5,9 +5,7 @@
 # below the checked-in floor (scripts/perf_floor.txt, GFLOP/s recorded
 # on the reference CI box in a deliberately slow phase — the gate
 # catches real regressions such as a de-vectorized kernel or a spilled
-# accumulator, not scheduler noise). Also prints the packed-vs-rows
-# speedup per size, which the kernel acceptance in EXPERIMENTS.md
-# tracks.
+# accumulator, not scheduler noise).
 #
 # On a different machine, scale the floors instead of editing the file:
 #   DLB_PERF_FLOOR_SCALE=0.5 scripts/perf_smoke.sh
@@ -26,7 +24,7 @@ fi
 
 JSON="$(mktemp)"
 trap 'rm -f "$JSON"' EXIT
-"$BENCH" --benchmark_filter='Gemm(Packed|Rows|Nt)|ConvGemmLenet1' \
+"$BENCH" --benchmark_filter='Gemm(Packed|Nt)|ConvGemmLenet1' \
          --benchmark_min_time=0.15 \
          --benchmark_format=json >"$JSON"
 
@@ -66,12 +64,6 @@ for name, floor in sorted(floors.items()):
           f"gate {gate:7.2f})  {status}")
     if got < gate:
         failures.append(f"{name}: {got:.2f} GFLOP/s < gate {gate:.2f}")
-
-for size in (256, 384, 512):
-    packed = measured.get(f"BM_GemmPacked/{size}/real_time")
-    rows = measured.get(f"BM_GemmRows/{size}/real_time")
-    if packed and rows:
-        print(f"packed-vs-rows speedup @ {size}^3: {packed / rows:.2f}x")
 
 if failures:
     print("\nperf_smoke FAILED:", file=sys.stderr)

@@ -14,83 +14,85 @@ using runtime::Device;
 
 namespace detail {
 
+namespace {
+
+// One NR-wide row of a tile as a single vector value. GCC lowers it to
+// one zmm, two ymm or four xmm registers as the target allows, where
+// an indexed float acc[MR][NR] array would be shuffled lane by lane.
+using Row = float __attribute__((vector_size(kGemmNR * sizeof(float))));
+
+Row load_row(const float* p) {
+  Row v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void store_row(float* p, Row v) { std::memcpy(p, &v, sizeof(v)); }
+
+// Every lane set to x (Row{} + x would turn a -0 bias into +0).
+Row splat(float x) {
+  static_assert(kGemmNR == 16, "splat lists one x per lane");
+  return Row{x, x, x, x, x, x, x, x, x, x, x, x, x, x, x, x};
+}
+
+}  // namespace
+
 void micro_kernel_scalar(const float* a_panel, const float* b_panel,
                          std::int64_t k, float* out, std::int64_t ldo,
                          GemmEpilogue epilogue, const float* bias_row,
                          const float* bias_col) {
-  float acc[kGemmMR][kGemmNR];
-  if (epilogue == GemmEpilogue::kBiasRowInit ||
-      epilogue == GemmEpilogue::kBiasRowRelu) {
-    for (std::int64_t r = 0; r < kGemmMR; ++r)
-      for (std::int64_t j = 0; j < kGemmNR; ++j) acc[r][j] = bias_row[r];
-  } else {
-    std::memset(acc, 0, sizeof(acc));
-  }
+  Row acc[kGemmMR];
+  const bool row_init = epilogue == GemmEpilogue::kBiasRowInit ||
+                        epilogue == GemmEpilogue::kBiasRowRelu;
+  for (std::int64_t r = 0; r < kGemmMR; ++r)
+    acc[r] = row_init ? splat(bias_row[r]) : Row{};
   for (std::int64_t kk = 0; kk < k; ++kk) {
     const float* a = a_panel + kk * kGemmMR;
-    const float* b = b_panel + kk * kGemmNR;
-    for (std::int64_t r = 0; r < kGemmMR; ++r) {
-      const float av = a[r];
-      for (std::int64_t j = 0; j < kGemmNR; ++j) acc[r][j] += av * b[j];
-    }
+    const Row b = load_row(b_panel + kk * kGemmNR);
+    for (std::int64_t r = 0; r < kGemmMR; ++r) acc[r] += a[r] * b;
   }
   if (epilogue == GemmEpilogue::kBiasColAdd ||
       epilogue == GemmEpilogue::kBiasColRelu) {
-    for (std::int64_t r = 0; r < kGemmMR; ++r)
-      for (std::int64_t j = 0; j < kGemmNR; ++j) acc[r][j] += bias_col[j];
+    const Row bias = load_row(bias_col);
+    for (std::int64_t r = 0; r < kGemmMR; ++r) acc[r] += bias;
   }
   if (epilogue == GemmEpilogue::kBiasColRelu ||
       epilogue == GemmEpilogue::kBiasRowRelu) {
     for (std::int64_t r = 0; r < kGemmMR; ++r)
-      for (std::int64_t j = 0; j < kGemmNR; ++j)
-        acc[r][j] = acc[r][j] > 0.f ? acc[r][j] : 0.f;
+      acc[r] = acc[r] > 0.f ? acc[r] : Row{};
   }
-  for (std::int64_t r = 0; r < kGemmMR; ++r)
-    std::memcpy(out + r * ldo, acc[r],
-                static_cast<std::size_t>(kGemmNR) * sizeof(float));
+  for (std::int64_t r = 0; r < kGemmMR; ++r) store_row(out + r * ldo, acc[r]);
 }
 
 namespace {
 
 // The single-panel kernel for the active tier, plus (when the tier has
-// one) a double-panel kernel the driver prefers for full interior
-// tiles. x2 is a pure throughput optimization — bitwise identical to
-// two single-panel calls — so only the hot kFma path carries one.
+// them) the wide kernels the driver prefers for full interior tiles.
+// They are pure throughput optimizations — bitwise identical to the
+// equivalent single-panel calls.
 struct SelectedKernels {
   MicroKernelFn single;
   MicroKernelFn x2;    // MR x 2*NR; nullptr when the tier has none
   MicroKernelFn quad;  // 2*MR x 2*NR; nullptr when the tier has none
 };
 
-SelectedKernels select_micro_kernel(GemmMath math) {
+SelectedKernels select_micro_kernel() {
   const runtime::SimdLevel level = runtime::active_simd_level();
 #if defined(DLB_HAVE_AVX512_BUILD)
-  if (level == runtime::SimdLevel::kAvx512F) {
-    return math == GemmMath::kFma
-               ? SelectedKernels{micro_kernel_avx512, micro_kernel_avx512_x2,
-                                 micro_kernel_avx512_2x2}
-               : SelectedKernels{micro_kernel_avx512_muladd, nullptr, nullptr};
-  }
+  if (level == runtime::SimdLevel::kAvx512F)
+    return {micro_kernel_avx512, micro_kernel_avx512_x2,
+            micro_kernel_avx512_2x2};
 #endif
 #if defined(DLB_HAVE_AVX2_BUILD)
-  if (level == runtime::SimdLevel::kAvx2Fma) {
-    return math == GemmMath::kFma
-               ? SelectedKernels{micro_kernel_avx2fma, nullptr, nullptr}
-               : SelectedKernels{micro_kernel_avx2_muladd, nullptr, nullptr};
-  }
+  if (level == runtime::SimdLevel::kAvx2Fma)
+    return {micro_kernel_avx2fma, nullptr, nullptr};
 #endif
   (void)level;
-  return math == GemmMath::kFma
-             ? SelectedKernels{micro_kernel_scalar, nullptr, nullptr}
-             : SelectedKernels{micro_kernel_scalar_muladd, nullptr, nullptr};
+  return {micro_kernel_scalar, nullptr, nullptr};
 }
 
 }  // namespace
 }  // namespace detail
-
-bool gemm_packed_active() {
-  return runtime::active_simd_level() != runtime::SimdLevel::kScalar;
-}
 
 namespace {
 
@@ -122,19 +124,18 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* c, std::int64_t m, std::int64_t k, std::int64_t n,
                  GemmEpilogue epilogue, const float* bias,
-                 const Device& dev, GemmMath math) {
+                 const Device& dev) {
   DLB_CHECK(m > 0 && k > 0 && n > 0, "gemm_packed: empty dimensions");
   thread_local std::vector<float> pa;
   float* a_panels = grow_scratch(pa, gemm_packed_a_floats(m, k));
   pack_a_panels(a, a_rs, a_cs, m, k, a_panels, dev);
-  gemm_prepacked_a(a_panels, b, b_rs, b_cs, c, m, k, n, epilogue, bias, dev,
-                   math);
+  gemm_prepacked_a(a_panels, b, b_rs, b_cs, c, m, k, n, epilogue, bias, dev);
 }
 
 void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
                       std::int64_t b_cs, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
-                      const float* bias, const Device& dev, GemmMath math) {
+                      const float* bias, const Device& dev) {
   DLB_CHECK(m > 0 && k > 0 && n > 0, "gemm_packed: empty dimensions");
   // No trace span here: every caller (matmul*, conv2d_forward) already
   // opens a kernel-category span, and a nested one would double-count
@@ -144,7 +145,7 @@ void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
   const std::int64_t n_np = gemm_col_panels(n);
   const std::int64_t nb = block_panels(k);
 
-  const detail::SelectedKernels kernels = detail::select_micro_kernel(math);
+  const detail::SelectedKernels kernels = detail::select_micro_kernel();
   const detail::MicroKernelFn micro = kernels.single;
   const detail::MicroKernelFn micro_x2 = kernels.x2;
   const detail::MicroKernelFn micro_2x2 = kernels.quad;

@@ -10,28 +10,18 @@
 // with swapped strides; the packing layer (pack.hpp) turns any stride
 // pattern into unit-stride panels. The inner loop is an MR x NR
 // register-blocked micro-kernel selected at runtime from the dispatch
-// table in runtime/device (AVX2+FMA when built and supported, portable
-// scalar otherwise; DLB_SIMD=scalar forces the fallback).
+// table in runtime/device: AVX-512F or AVX2+FMA when built and
+// supported, the portable micro-kernel otherwise. DLB_SIMD only picks
+// the micro-kernel; every tier runs this same packed driver.
 //
 // Determinism contract: C(m, n) is always the single-accumulator chain
-//   acc = init; for k = 0..K-1 in order: acc = acc + A(m,k)*B(k,n)
+//   acc = init; for k = 0..K-1 in order: acc = fma(A(m,k), B(k,n), acc)
 // There is no K-splitting and no cross-thread reduction: every C tile
 // is computed start-to-finish by exactly one thread, so results are
 // bitwise identical across thread counts and across runs. Zero-padded
-// edge lanes never feed a real output element.
-//
-// Rounding contract (GemmMath): the legacy kernels this layer replaces
-// were auto-vectorized two different ways, and replaying their exact
-// bits requires matching the rounding of each:
-//   kFma    — one fused multiply-add per (k, element), no intermediate
-//             rounding. This is what the compiler contracted the
-//             row-blocked matmul / matmul_tn / conv loops into.
-//   kMulAdd — round the product, then round the add (two roundings per
-//             step). The matmul_nt dot-product loop vectorized into
-//             separate vmulps + an ordered chain of lane adds, which
-//             never contracts, so its packed replacement must not
-//             contract either (the kMulAdd kernels live in translation
-//             units built with -ffp-contract=off to pin this down).
+// edge lanes never feed a real output element. The portable kernel
+// rounds once per step only when the target has fma (the build
+// contracts its multiply-add); there its bits equal the SIMD tiers'.
 //
 // The epilogue is applied while the tile is still in registers, which
 // is what lets a dense layer skip a full output-tensor round trip for
@@ -40,8 +30,7 @@
 //                        layout; identical bits to a separate
 //                        add_row_bias pass).
 //   kBiasRowInit       — acc starts at bias[m] (conv's layout: one bias
-//                        per output channel; identical bits to the
-//                        legacy fill-then-accumulate kernel).
+//                        per output channel).
 
 #include <cstdint>
 
@@ -57,16 +46,6 @@ enum class GemmEpilogue {
   kBiasRowRelu,  // C = relu(bias[m] + A·B)
 };
 
-/// Per-step rounding of the K loop; see the rounding contract above.
-enum class GemmMath {
-  kFma,     // acc = fma(a, b, acc) — one rounding per step
-  kMulAdd,  // acc = acc + round(a*b) — two roundings per step
-};
-
-/// True when matmul/conv route through the packed SIMD kernel; false
-/// means the legacy row kernels run instead (scalar tier).
-bool gemm_packed_active();
-
 /// Packed GEMM. A(m, k) = a[m*a_rs + k*a_cs], B(k, n) = b[k*b_rs +
 /// n*b_cs], C is written dense row-major [M, N]. `bias` must have N
 /// entries for the column epilogues, M entries for the row epilogues,
@@ -77,7 +56,7 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
                  const float* b, std::int64_t b_rs, std::int64_t b_cs,
                  float* c, std::int64_t m, std::int64_t k, std::int64_t n,
                  GemmEpilogue epilogue, const float* bias,
-                 const runtime::Device& dev, GemmMath math = GemmMath::kFma);
+                 const runtime::Device& dev);
 
 /// gemm_packed with A already in pack_a_panels layout (`a_panels`,
 /// gemm_packed_a_floats(M, K) floats). A caller that multiplies one A
@@ -86,8 +65,7 @@ void gemm_packed(const float* a, std::int64_t a_rs, std::int64_t a_cs,
 void gemm_prepacked_a(const float* a_panels, const float* b, std::int64_t b_rs,
                       std::int64_t b_cs, float* c, std::int64_t m,
                       std::int64_t k, std::int64_t n, GemmEpilogue epilogue,
-                      const float* bias, const runtime::Device& dev,
-                      GemmMath math = GemmMath::kFma);
+                      const float* bias, const runtime::Device& dev);
 
 namespace detail {
 
@@ -100,50 +78,33 @@ using MicroKernelFn = void (*)(const float* a_panel, const float* b_panel,
                                GemmEpilogue epilogue, const float* bias_row,
                                const float* bias_col);
 
-/// Portable scalar micro-kernel, kFma rounding (always available).
+/// Portable micro-kernel (always available; the kScalar tier). Written
+/// over GCC vector types, so it runs at the build target's vector
+/// width and contracts to fma where the target has one.
 void micro_kernel_scalar(const float* a_panel, const float* b_panel,
                          std::int64_t k, float* out, std::int64_t ldo,
                          GemmEpilogue epilogue, const float* bias_row,
                          const float* bias_col);
 
-/// Portable scalar micro-kernel, kMulAdd rounding (always available;
-/// gemm_kernel_nofma.cpp, built with -ffp-contract=off).
-void micro_kernel_scalar_muladd(const float* a_panel, const float* b_panel,
-                                std::int64_t k, float* out, std::int64_t ldo,
-                                GemmEpilogue epilogue, const float* bias_row,
-                                const float* bias_col);
-
 #if defined(DLB_HAVE_AVX2_BUILD)
-/// AVX2+FMA micro-kernel, kFma rounding (gemm_kernel_avx2.cpp; only
-/// dispatched when cpuid reports AVX2 and FMA).
+/// AVX2+FMA micro-kernel (gemm_kernel_avx2.cpp; only dispatched when
+/// cpuid reports AVX2 and FMA).
 void micro_kernel_avx2fma(const float* a_panel, const float* b_panel,
                           std::int64_t k, float* out, std::int64_t ldo,
                           GemmEpilogue epilogue, const float* bias_row,
                           const float* bias_col);
-
-/// AVX2 micro-kernel, kMulAdd rounding (gemm_kernel_avx2_nofma.cpp,
-/// built with -mavx2 -ffp-contract=off; same dispatch gate).
-void micro_kernel_avx2_muladd(const float* a_panel, const float* b_panel,
-                              std::int64_t k, float* out, std::int64_t ldo,
-                              GemmEpilogue epilogue, const float* bias_row,
-                              const float* bias_col);
 #endif
 
 #if defined(DLB_HAVE_AVX512_BUILD)
-/// AVX-512F micro-kernels (gemm_kernel_avx512[_nofma].cpp; only
-/// dispatched when cpuid reports AVX-512F). One NR panel is one zmm;
-/// bitwise identical to the AVX2 kernels of the same GemmMath.
+/// AVX-512F micro-kernels (gemm_kernel_avx512.cpp; only dispatched
+/// when cpuid reports AVX-512F). One NR panel is one zmm; bitwise
+/// identical to the AVX2+FMA kernel.
 void micro_kernel_avx512(const float* a_panel, const float* b_panel,
                          std::int64_t k, float* out, std::int64_t ldo,
                          GemmEpilogue epilogue, const float* bias_row,
                          const float* bias_col);
 
-void micro_kernel_avx512_muladd(const float* a_panel, const float* b_panel,
-                                std::int64_t k, float* out, std::int64_t ldo,
-                                GemmEpilogue epilogue, const float* bias_row,
-                                const float* bias_col);
-
-/// Double-width AVX-512 kFma kernel: one call computes an MR x 2*NR
+/// Double-width AVX-512 kernel: one call computes an MR x 2*NR
 /// tile from two adjacent packed-B panels (`b_panels` points at panel
 /// np; panel np+1 follows at b_panels + k*kGemmNR). Each A broadcast
 /// feeds two fmadds, doubling the independent accumulator chains (12)

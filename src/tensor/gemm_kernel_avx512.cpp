@@ -8,9 +8,9 @@
 // broadcast, half the loop iterations' worth of uops per flop. The
 // lanes of a vector are independent C elements, and each element still
 // accumulates through the same single fma chain over ascending k, so
-// the result is bitwise identical to the AVX2+FMA and contracted
-// scalar tiers — vector width never changes per-element rounding or
-// order (DESIGN.md §11). Named accumulators, not an array — see the
+// the result is bitwise identical to the AVX2+FMA tier and to the
+// portable kernel on an fma target — vector width never changes
+// per-element rounding or order (DESIGN.md §11). Named accumulators, not an array — see the
 // spill note in gemm_kernel_avx2.cpp.
 
 #include <immintrin.h>

@@ -82,6 +82,7 @@ float Tensor::at(std::int64_t i) const {
 }
 
 Tensor Tensor::clone() const {
+  if (!data_) return Tensor();
   // uninit: the memcpy overwrites every element, so the zero-fill of
   // Tensor(shape) would be pure waste (ownership rule, DESIGN.md §15).
   Tensor copy = Tensor::uninit(shape_);

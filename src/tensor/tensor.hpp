@@ -47,7 +47,9 @@ class Tensor {
                              float hi);
 
   const Shape& shape() const { return shape_; }
-  std::int64_t numel() const { return shape_.numel(); }
+  /// 0 for a default-constructed tensor, which has no storage (its
+  /// rank-0 shape alone would count one element).
+  std::int64_t numel() const { return data_ ? shape_.numel() : 0; }
   std::int64_t dim(int i) const { return shape_.dim(i); }
   bool empty() const { return numel() == 0; }
 

@@ -532,7 +532,6 @@ TEST(CopyKernelDiff, MaxPoolMatchesPerWindowScan) {
 // Packing W (and W^T) once per conv call instead of once per sample
 // must give the bits of the per-sample gemm_packed form.
 TEST(CopyKernelDiff, ConvPrepackedWeightMatchesPerSamplePacking) {
-  if (!gemm_packed_active()) GTEST_SKIP() << "scalar tier has no packing";
   util::Rng rng(104);
   const Device serial = Device::cpu();
   for (int trial = 0; trial < 40; ++trial) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/conv_direct.hpp"
@@ -319,10 +320,10 @@ TEST(KernelDiffTest, ConvWeightGradsAreRunToRunDeterministicUnderThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed-GEMM layer (gemm_kernel.hpp): parity with the legacy row
-// kernel, direct driver coverage of strides / epilogues / both GemmMath
-// roundings, fused-epilogue bitwise equivalence, and determinism at the
-// register-blocking boundaries.
+// Packed-GEMM layer (gemm_kernel.hpp): parity with a double-precision
+// reference, direct driver coverage of strides and epilogues, fused-
+// epilogue bitwise equivalence, determinism at the register-blocking
+// boundaries, and bitwise agreement across the micro-kernel tiers.
 // ---------------------------------------------------------------------------
 
 // Shapes that hit every edge of the 6x16 blocking and its paired 12x32
@@ -334,26 +335,6 @@ const MatDims kEdgeDims[] = {
     {23, 7, 48}, {24, 9, 31}, {25, 4, 64}, {48, 1, 33}, {50, 13, 50},
     {12, 1, 32}, {36, 2, 96}, {5, 40, 11}, {1, 40, 96}, {96, 3, 1},
 };
-
-// The packed path against the retained legacy row kernel over the edge
-// shapes plus randoms (>= 50 total). Summation order differs, so this
-// is a tolerance comparison; bitwise coverage is below.
-TEST(KernelDiffTest, PackedMatmulMatchesRowsReferenceAcrossShapes) {
-  util::Rng rng(808);
-  const Device serial = Device::cpu();
-  const Device threaded = Device::parallel(4);
-  std::vector<MatDims> dims(std::begin(kEdgeDims), std::end(kEdgeDims));
-  while (dims.size() < 56) dims.push_back(random_dims(rng));
-  for (const MatDims& d : dims) {
-    Tensor a = Tensor::randn(Shape({d.m, d.k}), rng);
-    Tensor b = Tensor::randn(Shape({d.k, d.n}), rng);
-    const Tensor want = matmul_rows_reference(a, b, serial);
-    const std::string what = "packed-vs-rows " + std::to_string(d.m) + "x" +
-                             std::to_string(d.k) + "x" + std::to_string(d.n);
-    expect_close(matmul(a, b, serial), want, 1e-3, what + " serial");
-    expect_close(matmul(a, b, threaded), want, 1e-3, what + " threaded");
-  }
-}
 
 // Double-precision reference for a gemm_packed call with arbitrary
 // element strides and epilogue.
@@ -380,10 +361,30 @@ Tensor naive_gemm_ep(const Tensor& a, std::int64_t a_rs, std::int64_t a_cs,
   return c;
 }
 
-// Direct gemm_packed calls: every epilogue x both GemmMath roundings x
-// the three stride patterns the matmul family uses (row-major,
+// The packed path against the double-precision reference over the edge
+// shapes plus randoms (>= 50 total): a tolerance comparison; bitwise
+// coverage is below.
+TEST(KernelDiffTest, PackedMatmulMatchesNaiveAcrossShapes) {
+  util::Rng rng(808);
+  const Device serial = Device::cpu();
+  const Device threaded = Device::parallel(4);
+  std::vector<MatDims> dims(std::begin(kEdgeDims), std::end(kEdgeDims));
+  while (dims.size() < 56) dims.push_back(random_dims(rng));
+  for (const MatDims& d : dims) {
+    Tensor a = Tensor::randn(Shape({d.m, d.k}), rng);
+    Tensor b = Tensor::randn(Shape({d.k, d.n}), rng);
+    const Tensor want = naive_gemm_ep(a, d.k, 1, b, d.n, 1, d.m, d.k, d.n,
+                                      GemmEpilogue::kNone, nullptr);
+    const std::string what = "packed-vs-naive " + std::to_string(d.m) + "x" +
+                             std::to_string(d.k) + "x" + std::to_string(d.n);
+    expect_close(matmul(a, b, serial), want, 1e-3, what + " serial");
+    expect_close(matmul(a, b, threaded), want, 1e-3, what + " threaded");
+  }
+}
+
+// Direct gemm_packed calls: every epilogue x the three stride patterns the matmul family uses (row-major,
 // transposed A, transposed B), on serial and threaded devices.
-TEST(KernelDiffTest, GemmPackedCoversStridesEpiloguesAndBothRoundings) {
+TEST(KernelDiffTest, GemmPackedCoversStridesAndEpilogues) {
   util::Rng rng(909);
   const Device serial = Device::cpu();
   const Device threaded = Device::parallel(3);
@@ -404,33 +405,30 @@ TEST(KernelDiffTest, GemmPackedCoversStridesEpiloguesAndBothRoundings) {
                        ep == GemmEpilogue::kBiasRowRelu;
       const Tensor* bias =
           ep == GemmEpilogue::kNone ? nullptr : (row ? &bias_row : &bias_col);
-      for (const GemmMath math : {GemmMath::kFma, GemmMath::kMulAdd}) {
-        const std::string what =
-            "gemm_packed " + std::to_string(d.m) + "x" + std::to_string(d.k) +
-            "x" + std::to_string(d.n) + " ep=" +
-            std::to_string(static_cast<int>(ep)) +
-            " math=" + std::to_string(static_cast<int>(math));
-        struct StrideCase {
-          const Tensor* src;
-          std::int64_t rs, cs;
-          const char* tag;
-        };
-        const StrideCase a_cases[] = {{&a, d.k, 1, " a-rowmajor"},
-                                      {&at, 1, d.m, " a-transposed"}};
-        const StrideCase b_cases[] = {{&b, d.n, 1, " b-rowmajor"},
-                                      {&bt, 1, d.k, " b-transposed"}};
-        for (const StrideCase& ac : a_cases) {
-          for (const StrideCase& bc : b_cases) {
-            const Tensor want =
-                naive_gemm_ep(*ac.src, ac.rs, ac.cs, *bc.src, bc.rs, bc.cs,
-                              d.m, d.k, d.n, ep, bias);
-            for (const Device* dev : {&serial, &threaded}) {
-              Tensor got = Tensor::uninit(Shape({d.m, d.n}));
-              gemm_packed(ac.src->raw(), ac.rs, ac.cs, bc.src->raw(), bc.rs,
-                          bc.cs, got.raw(), d.m, d.k, d.n, ep,
-                          bias ? bias->raw() : nullptr, *dev, math);
-              expect_close(got, want, 1e-3, what + ac.tag + bc.tag);
-            }
+      const std::string what =
+          "gemm_packed " + std::to_string(d.m) + "x" + std::to_string(d.k) +
+          "x" + std::to_string(d.n) + " ep=" +
+          std::to_string(static_cast<int>(ep));
+      struct StrideCase {
+        const Tensor* src;
+        std::int64_t rs, cs;
+        const char* tag;
+      };
+      const StrideCase a_cases[] = {{&a, d.k, 1, " a-rowmajor"},
+                                    {&at, 1, d.m, " a-transposed"}};
+      const StrideCase b_cases[] = {{&b, d.n, 1, " b-rowmajor"},
+                                    {&bt, 1, d.k, " b-transposed"}};
+      for (const StrideCase& ac : a_cases) {
+        for (const StrideCase& bc : b_cases) {
+          const Tensor want =
+              naive_gemm_ep(*ac.src, ac.rs, ac.cs, *bc.src, bc.rs, bc.cs, d.m,
+                            d.k, d.n, ep, bias);
+          for (const Device* dev : {&serial, &threaded}) {
+            Tensor got = Tensor::uninit(Shape({d.m, d.n}));
+            gemm_packed(ac.src->raw(), ac.rs, ac.cs, bc.src->raw(), bc.rs,
+                        bc.cs, got.raw(), d.m, d.k, d.n, ep,
+                        bias ? bias->raw() : nullptr, *dev);
+            expect_close(got, want, 1e-3, what + ac.tag + bc.tag);
           }
         }
       }
@@ -439,26 +437,17 @@ TEST(KernelDiffTest, GemmPackedCoversStridesEpiloguesAndBothRoundings) {
 }
 
 // One output element's exact chain: acc starts at the row bias (or 0),
-// takes every k in ascending order with the GemmMath rounding, then the
-// column bias and ReLU. kFma rounds once per step (std::fma); kMulAdd
-// rounds the product (stored through volatile, so it cannot be
-// contracted) and then the sum.
+// takes every k in ascending order with one rounding per step
+// (std::fma), then the column bias and ReLU.
 float exact_chain_element(const float* a, const float* b, std::int64_t b_rs,
                           std::int64_t b_cs, std::int64_t row,
                           std::int64_t col, std::int64_t k, GemmEpilogue ep,
-                          GemmMath math, const float* bias) {
+                          const float* bias) {
   const bool row_init =
       ep == GemmEpilogue::kBiasRowInit || ep == GemmEpilogue::kBiasRowRelu;
   float acc = row_init ? bias[row] : 0.f;
-  for (std::int64_t p = 0; p < k; ++p) {
-    const float av = a[row * k + p], bv = b[p * b_rs + col * b_cs];
-    if (math == GemmMath::kFma) {
-      acc = std::fma(av, bv, acc);
-    } else {
-      volatile float prod = av * bv;
-      acc = acc + prod;
-    }
-  }
+  for (std::int64_t p = 0; p < k; ++p)
+    acc = std::fma(a[row * k + p], b[p * b_rs + col * b_cs], acc);
   if (ep == GemmEpilogue::kBiasColAdd || ep == GemmEpilogue::kBiasColRelu)
     acc += bias[col];
   if (ep == GemmEpilogue::kBiasColRelu || ep == GemmEpilogue::kBiasRowRelu)
@@ -490,6 +479,10 @@ void expect_same_bits(const Tensor& got, const Tensor& want,
 // and the shape stays inside one. M covers a lone row, partial and full
 // row panels, and an odd panel count for the paired kernels.
 TEST(KernelDiffTest, PackedGemmEqualsExactChainAcrossBlockEdges) {
+#if !defined(__FMA__)
+  if (runtime::active_simd_level() == runtime::SimdLevel::kScalar)
+    GTEST_SKIP() << "the portable kernel rounds twice per step without fma";
+#endif
   constexpr std::int64_t kBlockFloats = 256 * 1024 / sizeof(float);
   util::Rng rng(1313);
   const Device devices[] = {Device::cpu(), Device::parallel(2),
@@ -521,34 +514,30 @@ TEST(KernelDiffTest, PackedGemmEqualsExactChainAcrossBlockEdges) {
         const float* bias = ep == GemmEpilogue::kNone ? nullptr
                             : row                     ? bias_row.raw()
                                                       : bias_col.raw();
-        for (const GemmMath math : {GemmMath::kFma, GemmMath::kMulAdd}) {
-          Tensor want = Tensor::uninit(Shape({m, n}));
-          for (std::int64_t i = 0; i < m; ++i)
-            for (std::int64_t j = 0; j < n; ++j)
-              want.data()[i * n + j] = exact_chain_element(
-                  a.raw(), b.raw(), n, 1, i, j, k, ep, math, bias);
-          const std::string what =
-              std::to_string(m) + "x" + std::to_string(k) + "x" +
-              std::to_string(n) + " ep=" +
-              std::to_string(static_cast<int>(ep)) +
-              " math=" + std::to_string(static_cast<int>(math));
-          for (const Device& dev : devices) {
-            const std::string on =
-                what + " workers=" + std::to_string(dev.workers());
-            for (const bool transposed : {false, true}) {
-              const float* bp = transposed ? bt.raw() : b.raw();
-              const std::int64_t b_rs = transposed ? 1 : n;
-              const std::int64_t b_cs = transposed ? k : 1;
-              const std::string tag = on + (transposed ? " B^T" : " B");
-              Tensor got = Tensor::full(Shape({m, n}), -7.f);
-              gemm_packed(a.raw(), k, 1, bp, b_rs, b_cs, got.raw(), m, k, n,
-                          ep, bias, dev, math);
-              expect_same_bits(got, want, "gemm_packed " + tag);
-              got.fill(-7.f);
-              gemm_prepacked_a(a_panels.data(), bp, b_rs, b_cs, got.raw(), m,
-                               k, n, ep, bias, dev, math);
-              expect_same_bits(got, want, "gemm_prepacked_a " + tag);
-            }
+        Tensor want = Tensor::uninit(Shape({m, n}));
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t j = 0; j < n; ++j)
+            want.data()[i * n + j] =
+                exact_chain_element(a.raw(), b.raw(), n, 1, i, j, k, ep, bias);
+        const std::string what = std::to_string(m) + "x" + std::to_string(k) +
+                                 "x" + std::to_string(n) + " ep=" +
+                                 std::to_string(static_cast<int>(ep));
+        for (const Device& dev : devices) {
+          const std::string on =
+              what + " workers=" + std::to_string(dev.workers());
+          for (const bool transposed : {false, true}) {
+            const float* bp = transposed ? bt.raw() : b.raw();
+            const std::int64_t b_rs = transposed ? 1 : n;
+            const std::int64_t b_cs = transposed ? k : 1;
+            const std::string tag = on + (transposed ? " B^T" : " B");
+            Tensor got = Tensor::full(Shape({m, n}), -7.f);
+            gemm_packed(a.raw(), k, 1, bp, b_rs, b_cs, got.raw(), m, k, n, ep,
+                        bias, dev);
+            expect_same_bits(got, want, "gemm_packed " + tag);
+            got.fill(-7.f);
+            gemm_prepacked_a(a_panels.data(), bp, b_rs, b_cs, got.raw(), m, k,
+                             n, ep, bias, dev);
+            expect_same_bits(got, want, "gemm_prepacked_a " + tag);
           }
         }
       }
@@ -609,16 +598,39 @@ TEST(KernelDiffTest, FusedMatmulBiasIsThreadCountDeterministic) {
   }
 }
 
-// The wide AVX-512 tiles (x2: 6x32, 2x2: 12x32) against the equivalent
-// sequence of single-tile calls, on hand-packed panels: grouping tiles
-// into one call must not change a single bit (each output element keeps
-// its own ascending-k chain). Skipped on hosts without AVX-512F.
+// Every micro-kernel tier against the portable kernel on hand-packed
+// panels, bit for bit: the AVX2+FMA and AVX-512 single tiles, and the
+// wide AVX-512 tiles (x2: 6x32, 2x2: 12x32), which group single tiles
+// into one call. Each output element is one ascending-k fma chain on
+// every tier, so neither the ISA nor the tile grouping may change a
+// bit. Only an fma target contracts the portable kernel's multiply-add
+// into one rounding, hence the guard; kernels the host cannot run are
+// left out.
+#if defined(__FMA__)
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+TEST(KernelDiffTest, MicroKernelTiersAndWideTilesAgreeBitwise) {
+  const runtime::CpuFeatures& cpu = runtime::cpu_features();
+  std::vector<std::pair<const char*, detail::MicroKernelFn>> singles;
+#if defined(DLB_HAVE_AVX2_BUILD)
+  if (cpu.avx2 && cpu.fma)
+    singles.emplace_back("avx2fma", detail::micro_kernel_avx2fma);
+#endif
 #if defined(DLB_HAVE_AVX512_BUILD)
-TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
-  if (!runtime::cpu_features().avx512f) GTEST_SKIP() << "no AVX-512F host";
+  if (cpu.avx512f) singles.emplace_back("avx512", detail::micro_kernel_avx512);
+#endif
+  if (singles.empty()) GTEST_SKIP() << "no SIMD micro-kernel on this host";
   util::Rng rng(1212);
   const Device serial = Device::cpu();
-  for (const std::int64_t k : {1L, 7L, 64L, 129L}) {
+  const GemmEpilogue eps[] = {
+      GemmEpilogue::kNone, GemmEpilogue::kBiasColAdd,
+      GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,
+      GemmEpilogue::kBiasRowRelu};
+  for (const std::int64_t k : {1L, 7L, 64L, 129L, 800L, 3136L}) {
     const std::int64_t m = 2 * kGemmMR, n = 2 * kGemmNR;
     Tensor a = Tensor::randn(Shape({m, k}), rng);
     Tensor b = Tensor::randn(Shape({k, n}), rng);
@@ -628,38 +640,44 @@ TEST(KernelDiffTest, WideAvx512TilesBitwiseMatchSingleTileCalls) {
     std::vector<float> pb(static_cast<std::size_t>(2 * kGemmNR * k));
     pack_a_panels(a.raw(), k, 1, m, k, pa.data(), serial);
     pack_b_panels(b.raw(), n, 1, k, n, pb.data());
-    const GemmEpilogue eps[] = {
-        GemmEpilogue::kNone, GemmEpilogue::kBiasColAdd,
-        GemmEpilogue::kBiasColRelu, GemmEpilogue::kBiasRowInit,
-        GemmEpilogue::kBiasRowRelu};
-    for (const GemmEpilogue ep : eps) {
-      std::vector<float> want(static_cast<std::size_t>(m * n));
-      std::vector<float> got(static_cast<std::size_t>(m * n));
-      // Reference: four single 6x16 tiles.
+    // Four single 6x16 tiles of one kernel.
+    const auto singles_of = [&](detail::MicroKernelFn kernel,
+                                GemmEpilogue ep) {
+      std::vector<float> out(static_cast<std::size_t>(m * n));
       for (int rp = 0; rp < 2; ++rp)
         for (int cp = 0; cp < 2; ++cp)
-          detail::micro_kernel_avx512(
-              pa.data() + rp * k * kGemmMR, pb.data() + cp * k * kGemmNR, k,
-              want.data() + rp * kGemmMR * n + cp * kGemmNR, n, ep,
-              bias_row.raw() + rp * kGemmMR, bias_col.raw() + cp * kGemmNR);
+          kernel(pa.data() + rp * k * kGemmMR, pb.data() + cp * k * kGemmNR,
+                 k, out.data() + rp * kGemmMR * n + cp * kGemmNR, n, ep,
+                 bias_row.raw() + rp * kGemmMR, bias_col.raw() + cp * kGemmNR);
+      return float_bits(out);
+    };
+    for (const GemmEpilogue ep : eps) {
+      const std::string what = " k=" + std::to_string(k) + " ep=" +
+                               std::to_string(static_cast<int>(ep));
+      const std::vector<std::uint32_t> want =
+          singles_of(detail::micro_kernel_scalar, ep);
+      for (const auto& [name, kernel] : singles)
+        EXPECT_EQ(singles_of(kernel, ep), want) << name << what;
+#if defined(DLB_HAVE_AVX512_BUILD)
+      if (!cpu.avx512f) continue;
+      std::vector<float> got(static_cast<std::size_t>(m * n));
       // x2: two 6x32 tiles.
       for (int rp = 0; rp < 2; ++rp)
         detail::micro_kernel_avx512_x2(
             pa.data() + rp * k * kGemmMR, pb.data(), k,
             got.data() + rp * kGemmMR * n, n, ep,
             bias_row.raw() + rp * kGemmMR, bias_col.raw());
-      EXPECT_EQ(want, got) << "x2 tile k=" << k
-                           << " ep=" << static_cast<int>(ep);
+      EXPECT_EQ(float_bits(got), want) << "avx512 x2" << what;
       // 2x2: one 12x32 tile.
       std::fill(got.begin(), got.end(), 0.f);
       detail::micro_kernel_avx512_2x2(pa.data(), pb.data(), k, got.data(), n,
                                       ep, bias_row.raw(), bias_col.raw());
-      EXPECT_EQ(want, got) << "2x2 tile k=" << k
-                           << " ep=" << static_cast<int>(ep);
+      EXPECT_EQ(float_bits(got), want) << "avx512 2x2" << what;
+#endif
     }
   }
 }
-#endif  // DLB_HAVE_AVX512_BUILD
+#endif  // __FMA__
 
 }  // namespace
 }  // namespace dlbench::tensor

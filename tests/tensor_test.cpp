@@ -117,6 +117,22 @@ TEST(Tensor, HasNonFiniteAcceptsEveryFiniteExtreme) {
   EXPECT_FALSE(Tensor(Shape({0})).has_non_finite());
 }
 
+// A default-constructed tensor has no storage, so it holds no elements
+// even though its rank-0 shape counts one; every whole-tensor query
+// must see it as empty rather than read through the null buffer.
+TEST(Tensor, DefaultConstructedIsEmptyAndSafe) {
+  const Tensor t;
+  EXPECT_EQ(t.numel(), 0);
+  EXPECT_TRUE(t.empty());
+  EXPECT_TRUE(t.data().empty());
+  EXPECT_THROW(t.at(0), dlbench::Error);
+  EXPECT_FALSE(t.has_non_finite());
+  const Tensor copy = t.clone();
+  EXPECT_EQ(copy.numel(), 0);
+  EXPECT_EQ(copy.raw(), nullptr);
+  EXPECT_EQ(t.to_string(), "Tensor[] {}");
+}
+
 TEST(Tensor, RandnIsDeterministicPerSeed) {
   util::Rng r1(5), r2(5);
   Tensor a = Tensor::randn(Shape({100}), r1);
