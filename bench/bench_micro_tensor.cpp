@@ -10,7 +10,7 @@
 // GFLOP/s) and memory throughput (counter "GBps", in GB/s, counting
 // each operand tensor once per pass) so regressions show up in units
 // that are comparable across shapes; scripts/perf_smoke.sh keys off
-// the GFLOPs counter of the GEMM/conv benches.
+// the GFLOPs counter of the GEMM, conv and maxpool benches.
 
 #include <benchmark/benchmark.h>
 
@@ -242,13 +242,10 @@ BENCHMARK(BM_PackB)
     ->Args({196, 800, 1})
     ->UseRealTime();
 
-// {parallel, window}: 3x3/s2 over a 32x32 map (TF CIFAR's pool) and
-// 2x2/s2, the TF-MNIST pool.
-void BM_MaxPool(benchmark::State& state) {
-  const Device dev = device_for(state.range(0));
-  tensor::PoolGeom g{64, 32, 32, state.range(1), 2, false};
+void run_maxpool(benchmark::State& state, const Device& dev, std::int64_t n,
+                 const tensor::PoolGeom& g) {
   util::Rng rng(4);
-  Tensor x = Tensor::randn(Shape({32, 64, 32, 32}), rng);
+  Tensor x = Tensor::randn(Shape({n, g.channels, g.in_h, g.in_w}), rng);
   std::vector<std::int32_t> argmax;
   Tensor probe = tensor::maxpool_forward(x, g, argmax, dev);
   for (auto _ : state) {
@@ -259,11 +256,37 @@ void BM_MaxPool(benchmark::State& state) {
   set_rates(state, static_cast<double>(probe.numel()) * g.window * g.window,
             4.0 * (static_cast<double>(x.numel()) + probe.numel()));
 }
+
+// {parallel, window}: 3x3/s2 over a 32x32 map (TF CIFAR's pool) and
+// 2x2/s2 on the same map.
+void BM_MaxPool(benchmark::State& state) {
+  run_maxpool(state, device_for(state.range(0)), 32,
+              tensor::PoolGeom{64, 32, 32, state.range(1), 2, false});
+}
 BENCHMARK(BM_MaxPool)
     ->Args({0, 3})
     ->Args({1, 3})
     ->Args({0, 2})
     ->Args({1, 2})
+    ->UseRealTime();
+
+// {workers, batch, channels, side, ceil}: 2x2/s2 at the MNIST nets' pool
+// inputs, serial and on the 2-worker device perfbench trains with:
+// TF pool1 [50,32,28,28] and pool2 [50,64,14,14], and Caffe's ceil-mode
+// pool1 [64,20,24,24].
+void BM_MaxPoolMnist(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  run_maxpool(state, Device::parallel(workers), state.range(1),
+              tensor::PoolGeom{state.range(2), state.range(3), state.range(3),
+                               2, 2, state.range(4) != 0});
+}
+BENCHMARK(BM_MaxPoolMnist)
+    ->Args({1, 50, 32, 28, 0})
+    ->Args({2, 50, 32, 28, 0})
+    ->Args({1, 50, 64, 14, 0})
+    ->Args({2, 50, 64, 14, 0})
+    ->Args({1, 64, 20, 24, 1})
+    ->Args({2, 64, 20, 24, 1})
     ->UseRealTime();
 
 void BM_SoftmaxXent(benchmark::State& state) {

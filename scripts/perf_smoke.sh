@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Quick performance smoke test for the packed SIMD GEMM / conv kernels
-# (DESIGN.md §11): runs the GEMM and im2col-conv microbenchmarks for a
-# couple of seconds and fails if any throughput falls more than 30%
-# below the checked-in floor (scripts/perf_floor.txt, GFLOP/s recorded
-# on the reference CI box in a deliberately slow phase — the gate
-# catches real regressions such as a de-vectorized kernel or a spilled
-# accumulator, not scheduler noise).
+# and the maxpool window scan (DESIGN.md §11): runs the GEMM, im2col-conv
+# and maxpool microbenchmarks for a few seconds and fails if any
+# throughput falls more than 30% below the checked-in floor
+# (scripts/perf_floor.txt, GFLOP/s recorded in a deliberately slow
+# phase — the gate catches real regressions such as a de-vectorized
+# kernel or a spilled accumulator, not scheduler noise).
 #
 # On a different machine, scale the floors instead of editing the file:
 #   DLB_PERF_FLOOR_SCALE=0.5 scripts/perf_smoke.sh
@@ -24,7 +24,7 @@ fi
 
 JSON="$(mktemp)"
 trap 'rm -f "$JSON"' EXIT
-"$BENCH" --benchmark_filter='Gemm(Packed|Nt)|ConvGemmLenet1' \
+"$BENCH" --benchmark_filter='Gemm(Packed|Nt)|ConvGemmLenet1|MaxPool' \
          --benchmark_min_time=0.15 \
          --benchmark_format=json >"$JSON"
 

@@ -152,6 +152,23 @@ std::vector<std::string> NetworkSpec::describe_layers() const {
   return rows;
 }
 
+namespace {
+
+// Conv and pool output sizes divide by the stride, so a spec's kernel or
+// window and its stride are checked before any output size is computed.
+void check_window(const NetworkSpec& spec, const char* op, std::int64_t size,
+                  std::int64_t stride) {
+  DLB_CHECK(size >= 1 && stride >= 1, spec.name << ": " << op << " size "
+                                                << size << " / stride "
+                                                << stride << " must be >= 1");
+}
+
+const char* pool_name(LayerSpec::Kind kind) {
+  return kind == LayerSpec::Kind::kMaxPool ? "max pool" : "avg pool";
+}
+
+}  // namespace
+
 Sequential build_model(const NetworkSpec& spec, util::Rng& rng,
                        ConvImpl conv_impl) {
   DLB_CHECK(!spec.ops.empty(), "network spec has no ops");
@@ -183,6 +200,7 @@ Sequential build_model(const NetworkSpec& spec, util::Rng& rng,
         g.kernel = op.kernel;
         g.stride = op.stride;
         g.pad = op.pad;
+        check_window(spec, "conv", op.kernel, op.stride);
         DLB_CHECK(g.out_h() > 0 && g.out_w() > 0,
                   spec.name << ": conv output empty at " << h << "x" << w);
         if (conv_impl == ConvImpl::kDirect)
@@ -204,6 +222,7 @@ Sequential build_model(const NetworkSpec& spec, util::Rng& rng,
         g.window = op.window;
         g.stride = op.stride;
         g.ceil_mode = op.ceil_mode;
+        check_window(spec, pool_name(op.kind), op.window, op.stride);
         DLB_CHECK(g.out_h() > 0 && g.out_w() > 0,
                   spec.name << ": pool output empty at " << h << "x" << w);
         if (op.kind == LayerSpec::Kind::kMaxPool)
@@ -258,6 +277,7 @@ std::int64_t spec_forward_flops(const NetworkSpec& spec) {
         g.kernel = op.kernel;
         g.stride = op.stride;
         g.pad = op.pad;
+        check_window(spec, "conv", op.kernel, op.stride);
         flops += 2 * g.out_c * g.out_h() * g.out_w() * g.patch_size();
         c = g.out_c;
         h = g.out_h();
@@ -273,6 +293,7 @@ std::int64_t spec_forward_flops(const NetworkSpec& spec) {
         g.window = op.window;
         g.stride = op.stride;
         g.ceil_mode = op.ceil_mode;
+        check_window(spec, pool_name(op.kind), op.window, op.stride);
         flops += c * g.out_h() * g.out_w() * op.window * op.window;
         h = g.out_h();
         w = g.out_w();

@@ -124,6 +124,13 @@ float* worker_scratch(WorkerBuf which, std::size_t floats) {
   return v.data();
 }
 
+// Output sizes divide by the stride: check it before computing one.
+void check_conv_window(const ConvGeom& g) {
+  DLB_CHECK(g.kernel > 0 && g.stride > 0,
+            "conv kernel " << g.kernel << " / stride " << g.stride
+                           << " must be > 0");
+}
+
 void check_conv_args(const Tensor& x, const Tensor& weight,
                      const Tensor& bias, const ConvGeom& g) {
   DLB_CHECK(x.shape().rank() == 4, "conv input must be [N, C, H, W]");
@@ -136,6 +143,7 @@ void check_conv_args(const Tensor& x, const Tensor& weight,
                 << weight.shape().to_string());
   DLB_CHECK(bias.shape().rank() == 1 && bias.dim(0) == g.out_c,
             "conv bias must be [out_c]");
+  check_conv_window(g);
   DLB_CHECK(g.out_h() > 0 && g.out_w() > 0,
             "conv output is empty for input " << g.in_h << "x" << g.in_w);
 }
@@ -219,6 +227,7 @@ ConvGrads conv2d_backward(const Tensor& x, const Tensor& weight,
                           const Tensor& dy, const ConvGeom& g,
                           const Device& dev) {
   runtime::trace::Span span("conv2d_bwd", "kernel");
+  check_conv_window(g);
   const std::int64_t n = x.dim(0);
   const std::int64_t oh = g.out_h(), ow = g.out_w(), ohw = oh * ow;
   const std::int64_t patch = g.patch_size();

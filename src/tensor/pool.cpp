@@ -11,13 +11,94 @@ using runtime::Device;
 
 namespace {
 
+// Output sizes divide by the stride: check it before computing one.
+void check_pool_window(const PoolGeom& g) {
+  DLB_CHECK(g.window > 0 && g.stride > 0,
+            "pool window " << g.window << " / stride " << g.stride
+                           << " must be > 0");
+}
+
 void check_pool_input(const Tensor& x, const PoolGeom& g) {
   DLB_CHECK(x.shape().rank() == 4, "pool input must be [N, C, H, W]");
   DLB_CHECK(x.dim(1) == g.channels && x.dim(2) == g.in_h && x.dim(3) == g.in_w,
             "pool input " << x.shape().to_string()
                           << " does not match geometry");
-  DLB_CHECK(g.window > 0 && g.stride > 0, "pool window/stride must be > 0");
+  check_pool_window(g);
   DLB_CHECK(g.out_h() > 0 && g.out_w() > 0, "pool output is empty");
+}
+
+// Scans planes [lo, hi) one window at a time, keeping each window's
+// running max and flat index in registers. kWindow/kStride > 0 compile
+// the geometry in (the window loops unroll and the column loop
+// vectorises across outputs); 0 reads it from `g`. Every window is
+// visited row-major with a strict '>' from -inf at index 0, the order
+// of a plain per-window loop, so ties, NaN and -inf pick the same max
+// and argmax whichever body runs.
+template <int kWindow, int kStride>
+void maxpool_planes(const float* __restrict px, float* __restrict py,
+                    std::int32_t* __restrict pa, const PoolGeom& g,
+                    std::size_t lo, std::size_t hi) {
+  const std::int64_t window = kWindow ? kWindow : g.window;
+  const std::int64_t stride = kStride ? kStride : g.stride;
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  const std::int64_t in_plane = g.in_h * g.in_w, out_plane = oh * ow;
+  const float ninf = -std::numeric_limits<float>::infinity();
+  // Windows x0 < full_w lie wholly inside their row; the rest (ceil
+  // mode) clip at the right edge, or start past it.
+  const std::int64_t full_w =
+      g.in_w < window ? 0 : std::min(ow, (g.in_w - window) / stride + 1);
+  // A full window lies inside the plane, whose offsets fit in int32
+  // (checked by the caller), so the branch-free loop runs in int32 lanes.
+  // (A window or stride too large for int32 leaves it at most one
+  // window, at x = 0.)
+  const auto kw = static_cast<std::int32_t>(window);
+  const auto ks = static_cast<std::int32_t>(stride);
+  const auto in_w = static_cast<std::int32_t>(g.in_w);
+  const auto full32 = static_cast<std::int32_t>(full_w);
+  for (std::size_t pc = lo; pc < hi; ++pc) {
+    const float* in = px + static_cast<std::int64_t>(pc) * in_plane;
+    float* out = py + static_cast<std::int64_t>(pc) * out_plane;
+    std::int32_t* at = pa + static_cast<std::int64_t>(pc) * out_plane;
+    for (std::int64_t y0 = 0; y0 < oh; ++y0, out += ow, at += ow) {
+      const std::int64_t ys = y0 * stride;
+      const std::int64_t ye = std::min(ys + window, g.in_h);
+      std::int64_t x0 = 0;
+      if (ye - ys == window) {
+        const auto top = static_cast<std::int32_t>(ys * g.in_w);
+        for (std::int32_t x = 0; x < full32; ++x) {
+          float best = ninf;
+          std::int32_t best_at = 0;
+          for (std::int32_t ky = 0; ky < kw; ++ky)
+            for (std::int32_t kx = 0; kx < kw; ++kx) {
+              const std::int32_t off = top + ky * in_w + x * ks + kx;
+              const float v = in[off];
+              const bool take = v > best;
+              best = take ? v : best;
+              best_at = take ? off : best_at;
+            }
+          out[x] = best;
+          at[x] = best_at;
+        }
+        x0 = full_w;
+      }
+      for (; x0 < ow; ++x0) {
+        const std::int64_t xs = x0 * stride;
+        const std::int64_t xe = std::min(xs + window, g.in_w);
+        float best = ninf;
+        std::int32_t best_at = 0;
+        for (std::int64_t iy = ys; iy < ye; ++iy)
+          for (std::int64_t ix = xs; ix < xe; ++ix) {
+            const std::int64_t off = iy * g.in_w + ix;
+            if (in[off] > best) {
+              best = in[off];
+              best_at = static_cast<std::int32_t>(off);
+            }
+          }
+        out[x0] = best;
+        at[x0] = best_at;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -25,64 +106,23 @@ void check_pool_input(const Tensor& x, const PoolGeom& g) {
 Tensor maxpool_forward(const Tensor& x, const PoolGeom& g,
                        std::vector<std::int32_t>& argmax, const Device& dev) {
   check_pool_input(x, g);
+  DLB_CHECK(g.in_h * g.in_w <= std::numeric_limits<std::int32_t>::max(),
+            "maxpool plane of " << g.in_h * g.in_w
+                                << " elements overflows argmax");
   const std::int64_t n = x.dim(0);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  // uninit / resize: each output row is initialised before its sweep.
-  Tensor y = Tensor::uninit(Shape({n, g.channels, oh, ow}));
+  // uninit / resize: every output element is written by its window.
+  Tensor y = Tensor::uninit(Shape({n, g.channels, g.out_h(), g.out_w()}));
   argmax.resize(static_cast<std::size_t>(y.numel()));
-
-  const std::int64_t in_plane = g.in_h * g.in_w;
-  const std::int64_t out_plane = oh * ow;
-  DLB_CHECK(in_plane <= std::numeric_limits<std::int32_t>::max(),
-            "maxpool plane of " << in_plane << " elements overflows argmax");
   const float* px = x.raw();
   float* py = y.raw();
   std::int32_t* pa = argmax.data();
-
-  // Row sweeps: for one output row, the window offsets (iy, kx) are the
-  // outer loops and the output columns the inner one, so the compare
-  // runs along a contiguous (or stride-s) input row. Each output still
-  // sees its window in row-major order with a strict '>', which keeps
-  // ties, NaN and -inf on the same max and argmax as a per-window scan.
-  // Windows never start past the input (ceil mode included), so only
-  // their right and bottom edges clip.
+  // The two geometries the paper's nets pool with get their own body.
+  auto planes = &maxpool_planes<0, 0>;
+  if (g.window == 2 && g.stride == 2) planes = &maxpool_planes<2, 2>;
+  if (g.window == 3 && g.stride == 2) planes = &maxpool_planes<3, 2>;
   dev.parallel_for(
       static_cast<std::size_t>(n * g.channels),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pc = lo; pc < hi; ++pc) {
-          const float* in = px + static_cast<std::int64_t>(pc) * in_plane;
-          for (std::int64_t y0 = 0; y0 < oh; ++y0) {
-            const std::int64_t row =
-                static_cast<std::int64_t>(pc) * out_plane + y0 * ow;
-            float* best = py + row;
-            std::int32_t* best_idx = pa + row;
-            std::fill_n(best, ow, -std::numeric_limits<float>::infinity());
-            std::fill_n(best_idx, ow, 0);
-            const std::int64_t ys = y0 * g.stride;
-            const std::int64_t ye = std::min(ys + g.window, g.in_h);
-            for (std::int64_t iy = ys; iy < ye; ++iy) {
-              const float* in_row = in + iy * g.in_w;
-              for (std::int64_t kx = 0; kx < g.window; ++kx) {
-                // Outputs whose window reaches column kx inside the row.
-                const std::int64_t reach = g.in_w - kx;
-                if (reach <= 0) break;
-                const std::int64_t x_hi =
-                    std::min(ow, (reach + g.stride - 1) / g.stride);
-                const auto base = static_cast<std::int32_t>(iy * g.in_w + kx);
-                const auto step = static_cast<std::int32_t>(g.stride);
-                for (std::int64_t x0 = 0; x0 < x_hi; ++x0) {
-                  const float v = in_row[x0 * g.stride + kx];
-                  const bool take = v > best[x0];
-                  best[x0] = take ? v : best[x0];
-                  best_idx[x0] =
-                      take ? base + static_cast<std::int32_t>(x0) * step
-                           : best_idx[x0];
-                }
-              }
-            }
-          }
-        }
-      },
+      [&](std::size_t lo, std::size_t hi) { planes(px, py, pa, g, lo, hi); },
       2);
   return y;
 }
@@ -90,6 +130,7 @@ Tensor maxpool_forward(const Tensor& x, const PoolGeom& g,
 Tensor maxpool_backward(const Tensor& dy, const PoolGeom& g,
                         const std::vector<std::int32_t>& argmax,
                         const Device& dev) {
+  check_pool_window(g);
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   DLB_CHECK(dy.shape().rank() == 4 && dy.dim(1) == g.channels &&
                 dy.dim(2) == oh && dy.dim(3) == ow,
@@ -158,6 +199,7 @@ Tensor avgpool_forward(const Tensor& x, const PoolGeom& g, const Device& dev) {
 
 Tensor avgpool_backward(const Tensor& dy, const PoolGeom& g,
                         const Device& dev) {
+  check_pool_window(g);
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   DLB_CHECK(dy.shape().rank() == 4 && dy.dim(1) == g.channels &&
                 dy.dim(2) == oh && dy.dim(3) == ow,

@@ -11,14 +11,19 @@
 #include <cstring>
 #include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "frameworks/registry.hpp"
+#include "nn/layers.hpp"
+#include "nn/network_spec.hpp"
 #include "runtime/device.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/gemm_kernel.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/pack.hpp"
 #include "tensor/pool.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dlbench::tensor {
@@ -266,11 +271,35 @@ TEST(Pool, ParallelMatchesSerial) {
   EXPECT_EQ(am1, am2);
 }
 
+// Output sizes divide by the stride, so every pool and conv entry point
+// checks window/kernel and stride first, backward passes included.
+TEST(Pool, ZeroWindowOrStrideThrows) {
+  const Device dev = Device::cpu();
+  for (const auto& [window, stride] : {std::pair{2, 0}, std::pair{0, 2}}) {
+    PoolGeom g{1, 4, 4, window, stride, false};
+    Tensor x(Shape({1, 1, 4, 4}), 1.f);
+    Tensor dy(Shape({1, 1, 2, 2}), 1.f);
+    std::vector<std::int32_t> argmax(4, 0);
+    EXPECT_THROW((void)maxpool_forward(x, g, argmax, dev), Error);
+    EXPECT_THROW((void)maxpool_backward(dy, g, argmax, dev), Error);
+    EXPECT_THROW((void)avgpool_forward(x, g, dev), Error);
+    EXPECT_THROW((void)avgpool_backward(dy, g, dev), Error);
+  }
+  ConvGeom g{1, 4, 4, 1, 3, 0, 0};
+  Tensor x(Shape({1, 1, 4, 4}), 1.f);
+  Tensor w(Shape({1, 9}), 1.f);
+  Tensor b(Shape({1}), 0.f);
+  Tensor dy(Shape({1, 1, 2, 2}), 1.f);
+  EXPECT_THROW((void)conv2d_forward(x, w, b, g, dev), Error);
+  EXPECT_THROW((void)conv2d_backward(x, w, dy, g, dev), Error);
+}
+
 // ---- differential: the copy-only kernels against their per-element
 // forms. im2col/col2im, the panel packers and maxpool are rewritten for
-// data movement (whole spans, address-order sweeps); the references
-// below are the straightforward loops they replaced, and every float
-// and argmax index must match them bit for bit (sums: see sum_bits).
+// data movement (whole spans, address-order sweeps, register scans); the
+// references below are the straightforward loops they replaced, and
+// every float and argmax index must match them bit for bit (sums: see
+// sum_bits).
 
 namespace ref {
 
@@ -483,50 +512,86 @@ TEST(CopyKernelDiff, PanelPackingMatchesPerElementLayout) {
   }
 }
 
+// The max pools of every default net in the registry, at their real
+// input sizes.
+std::vector<PoolGeom> registry_max_pools() {
+  std::vector<PoolGeom> pools;
+  for (frameworks::FrameworkKind fw : frameworks::kAllFrameworks)
+    for (frameworks::DatasetId ds : frameworks::kAllDatasets) {
+      util::Rng rng(1);
+      const nn::Sequential model =
+          nn::build_model(frameworks::default_network_spec(fw, ds), rng);
+      for (std::size_t i = 0; i < model.size(); ++i)
+        if (const auto* pool =
+                dynamic_cast<const nn::MaxPool2d*>(&model.layer(i)))
+          pools.push_back(pool->geom());
+    }
+  return pools;
+}
+
+// Forward values and argmax bitwise, and the backward scatter, against
+// the per-window loop.
+void check_maxpool(util::Rng& rng, const PoolGeom& g, std::int64_t batch,
+                   const Device& dev) {
+  const std::int64_t planes = batch * g.channels;
+  const std::vector<float> v = tricky_values(rng, planes * g.in_h * g.in_w);
+  Tensor x(Shape({batch, g.channels, g.in_h, g.in_w}), v);
+  std::vector<std::int32_t> argmax(5, 99);  // stale contents are rewritten
+  Tensor y = maxpool_forward(x, g, argmax, dev);
+
+  const std::int64_t out = y.numel();
+  std::vector<float> want_y(static_cast<std::size_t>(out));
+  std::vector<std::int32_t> want_idx(static_cast<std::size_t>(out));
+  ref::maxpool_forward(x.raw(), planes, g, want_y.data(), want_idx.data());
+  const auto where = [&] {
+    return ::testing::Message()
+           << g.channels << "x" << g.in_h << "x" << g.in_w << " w" << g.window
+           << " s" << g.stride << (g.ceil_mode ? " ceil" : " floor");
+  };
+  ASSERT_EQ(bits(y.raw(), out), bits(want_y.data(), out)) << where();
+  ASSERT_EQ(argmax, want_idx) << where();
+
+  const std::vector<float> dyv = tricky_values(rng, out);
+  Tensor dy(y.shape(), dyv);
+  Tensor dx = maxpool_backward(dy, g, argmax, dev);
+  std::vector<float> want_dx(static_cast<std::size_t>(x.numel()));
+  ref::maxpool_backward(dy.raw(), want_idx.data(), planes, g, want_dx.data());
+  ASSERT_EQ(sum_bits(dx.raw(), dx.numel()),
+            sum_bits(want_dx.data(), dx.numel()))
+      << where();
+}
+
+// Planes up to 33x33 give output rows of up to 33, so the compiled-in
+// 2x2/2 and 3x3/2 bodies run their vectorised column loop for whole
+// passes plus a remainder; those two geometries take two thirds of the
+// draws, the rest exercise the runtime body (overlapping, disjoint and
+// gapped windows). Ceil mode adds clipped and past-the-edge windows.
 TEST(CopyKernelDiff, MaxPoolMatchesPerWindowScan) {
   util::Rng rng(103);
+  const Device devs[] = {Device::cpu(), Device::parallel(2),
+                         Device::parallel(3)};
+  const std::vector<PoolGeom> nets = registry_max_pools();
+  ASSERT_EQ(nets.size(), 11u);  // two per net, one in Caffe's CIFAR net
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    check_maxpool(rng, nets[i], 2, devs[i % 3]);
+    if (HasFatalFailure()) return;
+  }
   int checked = 0;
   for (int trial = 0; trial < 300; ++trial) {
     PoolGeom g;
     g.channels = draw(rng, 1, 3);
-    g.window = draw(rng, 1, 4);
-    g.stride = draw(rng, 1, 3);  // stride < window: overlapping windows
+    const std::uint64_t shape = rng.uniform_index(3);
+    g.window = shape == 0 ? 2 : shape == 1 ? 3 : draw(rng, 1, 4);
+    g.stride = shape < 2 ? 2 : draw(rng, 1, 3);  // stride < window: overlap
     g.ceil_mode = rng.uniform_index(2) == 1;
-    g.in_h = draw(rng, 1, 11);
-    g.in_w = draw(rng, 1, 11);
+    g.in_h = draw(rng, 1, 33);
+    g.in_w = draw(rng, 1, 33);
     if (g.out_h() <= 0 || g.out_w() <= 0) continue;
     ++checked;
-    const std::int64_t batch = draw(rng, 1, 3);
-    const std::int64_t planes = batch * g.channels;
-    const std::vector<float> v = tricky_values(rng, planes * g.in_h * g.in_w);
-    Tensor x(Shape({batch, g.channels, g.in_h, g.in_w}), v);
-    const Device dev = trial % 2 ? Device::parallel(3) : Device::cpu();
-    std::vector<std::int32_t> argmax(5, 99);  // stale contents are rewritten
-    Tensor y = maxpool_forward(x, g, argmax, dev);
-
-    const std::int64_t out = y.numel();
-    std::vector<float> want_y(static_cast<std::size_t>(out));
-    std::vector<std::int32_t> want_idx(static_cast<std::size_t>(out));
-    ref::maxpool_forward(x.raw(), planes, g, want_y.data(), want_idx.data());
-    const auto where = [&] {
-      return ::testing::Message()
-             << g.in_h << "x" << g.in_w << " w" << g.window << " s"
-             << g.stride << (g.ceil_mode ? " ceil" : " floor");
-    };
-    ASSERT_EQ(bits(y.raw(), out), bits(want_y.data(), out)) << where();
-    ASSERT_EQ(argmax, want_idx) << where();
-
-    const std::vector<float> dyv = tricky_values(rng, out);
-    Tensor dy(y.shape(), dyv);
-    Tensor dx = maxpool_backward(dy, g, argmax, dev);
-    std::vector<float> want_dx(static_cast<std::size_t>(x.numel()));
-    ref::maxpool_backward(dy.raw(), want_idx.data(), planes, g,
-                          want_dx.data());
-    ASSERT_EQ(sum_bits(dx.raw(), dx.numel()),
-              sum_bits(want_dx.data(), dx.numel()))
-        << where();
+    check_maxpool(rng, g, draw(rng, 1, 3), devs[trial % 3]);
+    if (HasFatalFailure()) return;
   }
-  EXPECT_GT(checked, 150);
+  EXPECT_GT(checked, 250);
 }
 
 // Packing W (and W^T) once per conv call instead of once per sample

@@ -203,6 +203,29 @@ TEST(Spec, PoolTooLargeThrows) {
   EXPECT_THROW(build_model(spec, rng), dlbench::Error);
 }
 
+// Conv and pool output sizes divide by the stride: a zero (or negative)
+// kernel, window or stride must throw, from build_model and from the
+// flop estimate the harness takes before it builds, not kill the process.
+TEST(Spec, ZeroKernelWindowOrStrideThrows) {
+  const LayerSpec bad[] = {
+      LayerSpec::conv(4, 3, 0, 0),  LayerSpec::conv(4, 0),
+      LayerSpec::conv(4, 3, 0, -1), LayerSpec::max_pool(2, 0),
+      LayerSpec::max_pool(0, 2),    LayerSpec::max_pool(2, 0, true),
+      LayerSpec::avg_pool(2, 0),    LayerSpec::avg_pool(0, 1, true),
+  };
+  for (const LayerSpec& op : bad) {
+    NetworkSpec spec;
+    spec.name = "zerostride";
+    spec.input_channels = 1;
+    spec.input_height = 8;
+    spec.input_width = 8;
+    spec.ops = {op, LayerSpec::linear(2)};
+    util::Rng rng(10);
+    EXPECT_THROW(build_model(spec, rng), dlbench::Error);
+    EXPECT_THROW(spec_forward_flops(spec), dlbench::Error);
+  }
+}
+
 TEST(Spec, DirectConvImplSelectable) {
   NetworkSpec spec = frameworks::default_network_spec(FrameworkKind::kTorch,
                                                       DatasetId::kMnist);
